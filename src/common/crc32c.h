@@ -77,21 +77,32 @@ inline uint32_t Crc32cUpdateSse42(uint32_t crc, const void* data,
 
 }  // namespace internal
 
+/// Running state of an incremental CRC32C before any bytes.
+inline constexpr uint32_t kCrc32cInit = ~uint32_t{0};
+
+/// Extends an incremental CRC32C `state` over `size` more bytes. Start
+/// from kCrc32cInit and finish with Crc32cFinish; splitting the input
+/// across calls at any boundaries yields the same checksum as one call.
+inline uint32_t Crc32cExtend(uint32_t state, const void* data, size_t size) {
+#if defined(__SSE4_2__)
+  return internal::Crc32cUpdateSse42(state, data, size);
+#else
+  return internal::Crc32cUpdateScalar(state, data, size);
+#endif
+}
+
+/// The checksum of everything an incremental `state` has absorbed.
+inline uint32_t Crc32cFinish(uint32_t state) { return ~state; }
+
 /// CRC32C of `size` bytes.
 inline uint32_t Crc32c(const void* data, size_t size) {
-  uint32_t crc = ~uint32_t{0};
-#if defined(__SSE4_2__)
-  crc = internal::Crc32cUpdateSse42(crc, data, size);
-#else
-  crc = internal::Crc32cUpdateScalar(crc, data, size);
-#endif
-  return ~crc;
+  return Crc32cFinish(Crc32cExtend(kCrc32cInit, data, size));
 }
 
 /// Portable reference implementation; the tests assert the dispatched
 /// Crc32c agrees with it bit for bit.
 inline uint32_t Crc32cReference(const void* data, size_t size) {
-  return ~internal::Crc32cUpdateScalar(~uint32_t{0}, data, size);
+  return Crc32cFinish(internal::Crc32cUpdateScalar(kCrc32cInit, data, size));
 }
 
 }  // namespace asketch

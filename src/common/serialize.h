@@ -24,6 +24,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/common/crc32c.h"
+
 namespace asketch {
 
 /// Upper bound a deserializer accepts for a serialized capacity field
@@ -38,13 +40,24 @@ inline constexpr uint32_t kMaxSerializedCapacity = 1u << 20;
 /// u64 budget must not translate into a multi-gigabyte allocation.
 inline constexpr uint64_t kMaxSerializedBytes = uint64_t{1} << 28;
 
-/// Appends little-endian primitives to an in-memory buffer or a FILE*.
+/// Appends little-endian primitives to an in-memory buffer or a FILE*,
+/// or only checksums them (ChecksumOnly).
 class BinaryWriter {
  public:
   /// Writes into an owned in-memory buffer (retrieve with buffer()).
   BinaryWriter() = default;
   /// Writes through to `file` (not owned; must outlive the writer).
   explicit BinaryWriter(std::FILE* file) : file_(file) {}
+
+  /// Stores nothing: every byte extends a running CRC32C instead
+  /// (retrieve with checksum()), which equals Crc32c over the buffer
+  /// the same writes would have produced. Lets any SerializeTo compute
+  /// a digest of its serialized form without materializing it.
+  static BinaryWriter ChecksumOnly() {
+    BinaryWriter writer;
+    writer.checksum_only_ = true;
+    return writer;
+  }
 
   void PutU8(uint8_t v) { PutBytes(&v, 1); }
   void PutU32(uint32_t v) { PutBytes(&v, sizeof(v)); }
@@ -54,7 +67,9 @@ class BinaryWriter {
 
   void PutBytes(const void* data, size_t size) {
     if (!ok_) return;
-    if (file_ != nullptr) {
+    if (checksum_only_) {
+      crc_state_ = Crc32cExtend(crc_state_, data, size);
+    } else if (file_ != nullptr) {
       ok_ = std::fwrite(data, 1, size, file_) == size;
     } else if (size > 0) {
       const size_t offset = buffer_.size();
@@ -78,10 +93,14 @@ class BinaryWriter {
   /// False once any write failed (FILE* mode only).
   bool ok() const { return ok_; }
   const std::vector<uint8_t>& buffer() const { return buffer_; }
+  /// CRC32C of every byte written so far (ChecksumOnly mode only).
+  uint32_t checksum() const { return Crc32cFinish(crc_state_); }
 
  private:
   std::FILE* file_ = nullptr;
   std::vector<uint8_t> buffer_;
+  bool checksum_only_ = false;
+  uint32_t crc_state_ = kCrc32cInit;
   bool ok_ = true;
 };
 

@@ -405,7 +405,7 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
     case Opcode::kDigest: {
       shed += shards_.FlushDeltas(delta_state);
       StateDigest digest;
-      shards_.SerializeState(&digest);
+      shards_.DigestState(&digest);
       if (store_ != nullptr) {
         digest.generation = store_->LatestGeneration();
       }

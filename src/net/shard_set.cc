@@ -508,8 +508,7 @@ WireStats ShardSet::GetStats() const {
   return stats;
 }
 
-std::vector<uint8_t> ShardSet::SerializeLocked() const {
-  BinaryWriter writer;
+bool ShardSet::WriteLocked(BinaryWriter& writer) const {
   writer.PutU32(kShardSetMagic);
   writer.PutU32(num_shards());
   writer.PutU64(shed_weight_.load(std::memory_order_relaxed));
@@ -519,9 +518,31 @@ std::vector<uint8_t> ShardSet::SerializeLocked() const {
     const bool ok = std::visit(
         [&](const auto& sketch) { return sketch.SerializeTo(writer); },
         shard->sketch);
-    if (!ok) return {};
+    if (!ok) return false;
   }
+  return writer.ok();
+}
+
+std::vector<uint8_t> ShardSet::SerializeLocked() const {
+  BinaryWriter writer;
+  if (!WriteLocked(writer)) return {};
   return writer.buffer();
+}
+
+uint64_t ShardSet::AppliedTotalLocked() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->applied_tuples.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::vector<std::unique_lock<std::mutex>> ShardSet::DrainAndLockAll() {
+  Drain();
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (auto& shard : shards_) locks.emplace_back(shard->mu);
+  return locks;
 }
 
 std::optional<std::string> ShardSet::RestoreLocked(
@@ -610,38 +631,36 @@ std::optional<std::string> ShardSet::RestoreLocked(
 }
 
 std::vector<uint8_t> ShardSet::SerializeState(StateDigest* digest) {
-  Drain();
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) locks.emplace_back(shard->mu);
+  const auto locks = DrainAndLockAll();
   std::vector<uint8_t> payload = SerializeLocked();
   if (digest != nullptr) {
     digest->generation = 0;
-    digest->ingested = 0;
-    for (const auto& shard : shards_) {
-      digest->ingested +=
-          shard->applied_tuples.load(std::memory_order_relaxed);
-    }
+    digest->ingested = AppliedTotalLocked();
     digest->digest = Crc32c(payload.data(), payload.size());
   }
   return payload;
 }
 
+void ShardSet::DigestState(StateDigest* digest) {
+  const auto locks = DrainAndLockAll();
+  BinaryWriter writer = BinaryWriter::ChecksumOnly();
+  // A failed write leaves SerializeLocked's payload empty, whose CRC32C
+  // is 0; mirror that so both paths always agree.
+  const bool ok = WriteLocked(writer);
+  digest->generation = 0;
+  digest->ingested = AppliedTotalLocked();
+  digest->digest = ok ? writer.checksum() : Crc32c(nullptr, 0);
+}
+
 std::optional<std::string> ShardSet::RestoreState(
     std::span<const uint8_t> payload) {
-  Drain();
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) locks.emplace_back(shard->mu);
+  const auto locks = DrainAndLockAll();
   return RestoreLocked(payload);
 }
 
 std::optional<std::string> ShardSet::SaveSnapshot(SnapshotStore& store,
                                                   StateDigest* digest) {
-  Drain();
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) locks.emplace_back(shard->mu);
+  const auto locks = DrainAndLockAll();
   std::vector<uint8_t> payload = SerializeLocked();
   if (payload.empty()) {
     return std::string("shard-set serialization failed");
@@ -661,11 +680,7 @@ std::optional<std::string> ShardSet::SaveSnapshot(SnapshotStore& store,
   if (auto error = store.Save(kShardSetPayloadType, payload)) return error;
   if (digest != nullptr) {
     digest->generation = store.LatestGeneration();
-    digest->ingested = 0;
-    for (const auto& shard : shards_) {
-      digest->ingested +=
-          shard->applied_tuples.load(std::memory_order_relaxed);
-    }
+    digest->ingested = AppliedTotalLocked();
     digest->digest = Crc32c(payload.data(), payload.size());
   }
   return std::nullopt;

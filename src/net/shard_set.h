@@ -253,6 +253,11 @@ class ShardSet {
   /// CRC32C over that payload.
   std::vector<uint8_t> SerializeState(StateDigest* digest = nullptr);
 
+  /// Drains, then reports the digest SerializeState would, bit for bit,
+  /// by streaming CRC32C over the live shards under their locks: one
+  /// pass, and no payload is built. Serves the DIGEST barrier.
+  void DigestState(StateDigest* digest);
+
   /// Replaces all shard state from a SerializeState payload. Returns an
   /// error message on malformed payloads, a shard-count mismatch (the
   /// partition function depends on num_shards, so a snapshot can only be
@@ -336,8 +341,15 @@ class ShardSet {
   /// wait or degradation) halves the rate toward the floor; a calm
   /// stretch of kCalmSubmitsToRecover submits doubles it toward 1000.
   void NoteSubmitOutcome(bool pressure);
-  /// Serializes all shards; caller must hold every shard.mu.
+  /// Writes the SerializeState payload of all shards to `writer`;
+  /// caller must hold every shard.mu. False if a write failed.
+  bool WriteLocked(BinaryWriter& writer) const;
+  /// WriteLocked into a fresh buffer; empty on failure.
   std::vector<uint8_t> SerializeLocked() const;
+  /// Sum of every shard's applied_tuples; caller holds every shard.mu.
+  uint64_t AppliedTotalLocked() const;
+  /// Drain(), then take every shard.mu in index order.
+  std::vector<std::unique_lock<std::mutex>> DrainAndLockAll();
   /// Deserializes `payload` into the shards; caller must hold every
   /// shard.mu. Returns an error message on failure (state unchanged).
   std::optional<std::string> RestoreLocked(

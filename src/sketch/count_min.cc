@@ -49,16 +49,22 @@ CountMinConfig CountMinConfig::FromSpaceBudget(size_t bytes, uint32_t width,
 CountMin::CountMin(const CountMinConfig& config) : config_(config) {
   ASKETCH_CHECK(!config.Validate().has_value());
   hashes_ = HashFamily(config_.width, config_.depth, config_.seed);
-  cells_.assign(static_cast<size_t>(config_.width) * config_.depth, 0);
+  // Reserve, advise, then fill: the zero-fill is what faults the array
+  // in, so advising first lets those faults take 2 MiB pages directly
+  // instead of 4 KiB pages that khugepaged collapses seconds later.
+  const size_t cells = static_cast<size_t>(config_.width) * config_.depth;
+  cells_.reserve(cells);
   AdviseHugePagesIfLarge();
+  cells_.assign(cells, 0);
 }
 
 void CountMin::AdviseHugePagesIfLarge() {
   // Each update touches one cell per row at a random offset; 2 MiB
   // backing keeps out-of-cache sketches to ~one TLB entry per row range
   // instead of one miss per probe. Best-effort, behavior-neutral.
-  if (MemoryUsageBytes() >= kHugePageAdviseMinBytes) {
-    MaybeAdviseHugePages(cells_.data(), cells_.size() * sizeof(count_t));
+  const size_t bytes = cells_.capacity() * sizeof(count_t);
+  if (bytes >= kHugePageAdviseMinBytes) {
+    MaybeAdviseHugePages(cells_.data(), bytes);
   }
 }
 

@@ -286,6 +286,10 @@ TEST(NetFault, ClientReassemblesUnderShortReadsAndWrites) {
   ASSERT_EQ(client.Update(tuples), std::nullopt);
   ASSERT_EQ(client.Flush(), std::nullopt);
   EXPECT_EQ(client.last_ack().received_tuples, tuples.size());
+  // An ack only means "enqueued"; DIGEST is the barrier after which
+  // every acked tuple is applied and visible to QUERY.
+  StateDigest digest;
+  ASSERT_EQ(client.Digest(&digest), std::nullopt);
   uint64_t estimate = 0;
   ASSERT_EQ(client.Query(tuples.front().key, &estimate), std::nullopt);
   EXPECT_GE(estimate, tuples.front().value);

@@ -1,8 +1,9 @@
 // End-to-end tests for the asketchd serving core: lifecycle, HELLO
 // negotiation over the wire (including mismatch and hello-required
 // rejection), single-client determinism against an in-process ShardSet
-// oracle, concurrent-client conservation, garbage-resilience, overload
-// degradation, and snapshot/recover bit-identity.
+// oracle, streamed DIGEST vs the serialized payload, concurrent-client
+// conservation, garbage-resilience, overload degradation, and
+// snapshot/recover bit-identity.
 
 #include "src/net/server.h"
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/common/crc32c.h"
 #include "src/common/serialize.h"
 #include "src/common/snapshot.h"
 #include "src/net/client.h"
@@ -223,6 +225,70 @@ TEST(NetServer, SingleClientMatchesInProcessOracle) {
   for (size_t i = 0; i < wire_topk.size(); ++i) {
     EXPECT_EQ(wire_topk[i].key, oracle_topk[i].key);
     EXPECT_EQ(wire_topk[i].estimate, oracle_topk[i].estimate);
+  }
+}
+
+// DIGEST streams CRC32C over the live shards instead of building the
+// SerializeState payload. Fed over the wire at a multi-MiB shard size,
+// the server must report the digest of that payload bit for bit.
+// Returns the wire digest.
+StateDigest ExpectWireDigestMatchesSerializedPayload(
+    const ServerOptions& options, const std::vector<Tuple>& tuples) {
+  Server server(options);
+  EXPECT_EQ(server.Start(), std::nullopt);
+  Client client;
+  EXPECT_EQ(client.Connect({.port = server.port()}), std::nullopt);
+  for (size_t offset = 0; offset < tuples.size(); offset += 1000) {
+    const size_t n = std::min<size_t>(1000, tuples.size() - offset);
+    EXPECT_EQ(client.Update(std::span<const Tuple>(
+                  tuples.data() + offset, n)),
+              std::nullopt);
+  }
+  EXPECT_EQ(client.Flush(), std::nullopt);
+
+  StateDigest wire;
+  EXPECT_EQ(client.Digest(&wire), std::nullopt);
+  EXPECT_EQ(wire.ingested, tuples.size());
+  StateDigest local;
+  const std::vector<uint8_t> payload =
+      server.shards().SerializeState(&local);
+  EXPECT_GT(payload.size(), options.shards.num_shards *
+                                options.shards.shard_config.total_bytes / 2);
+  EXPECT_EQ(wire.digest, local.digest);
+  EXPECT_EQ(wire.digest, Crc32c(payload.data(), payload.size()));
+  EXPECT_EQ(wire.ingested, local.ingested);
+  return wire;
+}
+
+ServerOptions MultiMiBServer() {
+  ServerOptions options;
+  options.shards.num_shards = 2;
+  options.shards.shard_config.total_bytes = 4 << 20;
+  return options;
+}
+
+TEST(NetServer, SalsaWireDigestMatchesSerializedPayloadAndOracle) {
+  ServerOptions options = MultiMiBServer();
+  options.shards.backend = SketchBackend::kSalsa;
+  const auto tuples = TestStream(200'000);
+  const StateDigest wire =
+      ExpectWireDigestMatchesSerializedPayload(options, tuples);
+
+  ShardSet oracle(options.shards);
+  oracle.Ingest(tuples);
+  StateDigest oracle_digest;
+  oracle.SerializeState(&oracle_digest);
+  EXPECT_EQ(wire.digest, oracle_digest.digest);
+}
+
+TEST(NetServer, DeltaModeWireDigestMatchesSerializedPayload) {
+  for (const SketchBackend backend :
+       {SketchBackend::kCountMin, SketchBackend::kSalsa}) {
+    SCOPED_TRACE(backend == SketchBackend::kSalsa ? "salsa" : "count-min");
+    ServerOptions options = MultiMiBServer();
+    options.shards.backend = backend;
+    options.shards.ingest_mode = IngestMode::kDelta;
+    ExpectWireDigestMatchesSerializedPayload(options, TestStream(200'000));
   }
 }
 

@@ -3,11 +3,12 @@
 // TERMINATE — an unbounded producer spin is the failure mode under test.
 // Runs under TSan in CI alongside the other pipeline tests.
 
+#include <chrono>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include <unordered_map>
 
 #include "src/core/pipeline_asketch.h"
 #include "src/workload/stream_generator.h"
@@ -101,12 +102,22 @@ TEST(PipelineOverloadTest, TransientStallRecoversWithoutDegrading) {
                            overload);
   TruthMap exact;
   const auto stream = SkewedStream(20000);
+  // Another thread ends the stall after a fixed delay: once the queue
+  // fills, the producer waits inside Update, so only another thread can
+  // end the stall well inside the spin budget.
+  std::thread unstaller;
   for (size_t i = 0; i < stream.size(); ++i) {
-    if (i == 5000) pipeline.StallWorkerForTesting(true);
-    if (i == 6000) pipeline.StallWorkerForTesting(false);
+    if (i == 5000) {
+      pipeline.StallWorkerForTesting(true);
+      unstaller = std::thread([&pipeline] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        pipeline.StallWorkerForTesting(false);
+      });
+    }
     pipeline.Update(stream[i].key);
     ++exact[stream[i].key];
   }
+  unstaller.join();
   pipeline.Flush();
   EXPECT_FALSE(pipeline.stats().degraded);
   EXPECT_EQ(pipeline.stats().inline_applied, 0u);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/crc32c.h"
 #include "src/core/asketch.h"
 #include "src/sketch/dyadic_count_min.h"
 #include "src/sketch/holistic_udaf.h"
@@ -68,6 +69,47 @@ TEST(BinaryReaderTest, RejectsOversizedVectors) {
   BinaryReader reader(writer.buffer());
   std::vector<uint32_t> vec;
   EXPECT_FALSE(reader.GetPodVector(&vec, /*max_elements=*/1 << 20));
+}
+
+// The checksum-only sink must hash exactly the bytes a buffer writer
+// would hold, whatever the Put* granularity: DIGEST relies on it to
+// equal CRC32C of the SerializeState payload.
+TEST(BinaryWriterTest, ChecksumOnlyEqualsCrcOfBufferedBytes) {
+  const auto feed = [](BinaryWriter& writer) {
+    writer.PutU8(7);
+    writer.PutU32(0xdeadbeef);
+    writer.PutU64(~uint64_t{0});
+    writer.PutI64(-42);
+    writer.PutDouble(3.25);
+    writer.PutPodVector(std::vector<uint64_t>{});
+    writer.PutPodVector(std::vector<uint16_t>{1, 2, 3});
+    const char text[] = "split across several PutBytes calls";
+    writer.PutBytes(text, 1);
+    writer.PutBytes(text + 1, 0);
+    writer.PutBytes(text + 1, 8);
+    writer.PutBytes(text + 9, sizeof(text) - 9);
+  };
+  BinaryWriter buffered;
+  feed(buffered);
+  BinaryWriter summed = BinaryWriter::ChecksumOnly();
+  feed(summed);
+  ASSERT_TRUE(summed.ok());
+  EXPECT_TRUE(summed.buffer().empty());
+  EXPECT_EQ(summed.checksum(),
+            Crc32c(buffered.buffer().data(), buffered.buffer().size()));
+
+  // And through a whole summary's SerializeTo.
+  ASketchConfig config;
+  config.total_bytes = 16 * 1024;
+  auto sketch = MakeASketchCountMin<RelaxedHeapFilter>(config);
+  for (const Tuple& t : TestStream()) sketch.Update(t.key, t.value);
+  BinaryWriter sketch_buffered;
+  ASSERT_TRUE(sketch.SerializeTo(sketch_buffered));
+  BinaryWriter sketch_summed = BinaryWriter::ChecksumOnly();
+  ASSERT_TRUE(sketch.SerializeTo(sketch_summed));
+  EXPECT_EQ(sketch_summed.checksum(),
+            Crc32c(sketch_buffered.buffer().data(),
+                   sketch_buffered.buffer().size()));
 }
 
 template <typename T>

@@ -55,6 +55,16 @@ TEST(Crc32cTest, HardwareMatchesReferenceOnRandomBuffers) {
   }
 }
 
+TEST(Crc32cTest, ExtendAcrossAnySplitMatchesOneShot) {
+  const std::vector<uint8_t> data = SamplePayload(61);
+  const uint32_t whole = Crc32c(data.data(), data.size());
+  for (size_t cut = 0; cut <= data.size(); ++cut) {
+    uint32_t state = Crc32cExtend(kCrc32cInit, data.data(), cut);
+    state = Crc32cExtend(state, data.data() + cut, data.size() - cut);
+    EXPECT_EQ(Crc32cFinish(state), whole) << "cut " << cut;
+  }
+}
+
 TEST(SnapshotEnvelopeTest, RoundTrip) {
   const auto payload = SamplePayload(100);
   const auto envelope = WrapSnapshot(/*payload_type=*/42, payload);
