@@ -16,11 +16,9 @@
 // no longer one-sided — individual estimates can fall below the true
 // count (ALGORITHMS.md §8). The exact filter head is never sampled.
 //
-// Rates are quantized to permille (1/1000 steps) so a shard owner can
-// mirror a rate published through a relaxed atomic uint32 without
-// comparing doubles; 1000 means "inactive", and the inactive sampler
-// never touches its RNG, which is what makes rate 1.0 bit-identical
-// to the unsampled path.
+// Rates are quantized to permille (1/1000 steps); 1000 means
+// "inactive", and the inactive sampler never touches its RNG, which is
+// what makes rate 1.0 bit-identical to the unsampled path.
 
 #ifndef ASKETCH_COMMON_SAMPLING_H_
 #define ASKETCH_COMMON_SAMPLING_H_

@@ -44,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/atomic_util.h"
 #include "src/common/check.h"
 #include "src/common/sampling.h"
 #include "src/core/delta_batch.h"
@@ -111,37 +110,21 @@ class ASketch {
         sketch_(std::move(sketch)),
         enable_exchanges_(enable_exchanges) {}
 
-  /// Publishes a tail sampling rate (permille of tail updates applied;
-  /// 1000 = sampling off). Callable from any thread — the value lands in
-  /// a relaxed-atomic target that the owner thread folds into its private
-  /// sampler at the next Update/UpdateBatch boundary (SyncTailSampler).
-  /// When active, each sketch insert in MissPositive is applied with
-  /// probability p = permille/1000 and scaled by 1/p (stochastically
-  /// rounded): tail estimates become unbiased but lose the one-sided
-  /// bound; filter hits and free-slot inserts stay bit-exact
-  /// (ALGORITHMS.md §8). At 1000 the path is bit-identical to unsampled.
-  void SetTailSamplePermille(uint32_t permille) {
-    RelaxedStore(tail_sample_permille_,
-                 std::clamp<uint32_t>(permille, 1, 1000));
-  }
-  void SetTailSampleRate(double rate) {
-    SetTailSamplePermille(static_cast<uint32_t>(rate * 1000.0 + 0.5));
-  }
-  uint32_t tail_sample_permille() const {
-    return RelaxedLoad(tail_sample_permille_);
-  }
-  /// Reseeds the owner-side sampler (owner thread only; call before
-  /// ingest starts for reproducible runs).
-  void SeedTailSampler(uint64_t seed) {
-    const uint32_t permille = tail_sampler_.permille();
+  /// Enables NitroSketch-style sampling of the tail: each sketch insert
+  /// in MissPositive is applied with probability `rate` and scaled by
+  /// 1/rate (stochastically rounded), elided otherwise. Tail estimates
+  /// become unbiased but lose the one-sided bound; filter hits and
+  /// free-slot inserts stay bit-exact (ALGORITHMS.md §8). The rate is
+  /// quantized to permille; 1.0 is bit-identical to unsampled. Owner
+  /// thread only: call before ingest starts.
+  void SetTailSampleRate(double rate, uint64_t seed) {
     tail_sampler_ = GeometricSampler(seed);
-    tail_sampler_.SetPermille(permille);
+    tail_sampler_.SetPermille(static_cast<uint32_t>(rate * 1000.0 + 0.5));
   }
 
   /// Algorithm 1 (positive deltas) / Appendix A (negative deltas).
   void Update(item_t key, delta_t delta = 1) {
     if (delta == 0) return;
-    SyncTailSampler();
     if (delta > 0) {
       UpdatePositive(key, delta);
     } else {
@@ -179,7 +162,6 @@ class ASketch {
     ASKETCH_TRACE_SPAN("asketch_update_batch");
     ASKETCH_TELEMETRY_ONLY(
         const auto telemetry_start = std::chrono::steady_clock::now();)
-    SyncTailSampler();
     constexpr size_t kChunk = 16;
     static_assert(kChunk <= kMaxProbeBatch);
     // Backends exposing the prepared-update API (PrepareUpdateBatch +
@@ -905,26 +887,13 @@ class ASketch {
     uint64_t since_flush = 0;  ///< scalar Updates since the last flush
   };
 
-  /// Folds a cross-thread rate change (SetTailSamplePermille) into the
-  /// owner's private sampler. One relaxed load + compare; the branch is
-  /// never taken in steady state.
-  void SyncTailSampler() {
-    const uint32_t target = RelaxedLoad(tail_sample_permille_);
-    if (target != tail_sampler_.permille()) [[unlikely]] {
-      tail_sampler_.SetPermille(target);
-    }
-  }
-
   FilterT filter_;
   SketchT sketch_;
   bool enable_exchanges_ = true;
   ASketchStats stats_;
-  /// Owner-thread tail sampler (inactive by default) and its cross-
-  /// thread rate target, accessed via atomic_ref so the class stays
-  /// movable. Runtime ingest policy, not synopsis state: neither is
-  /// serialized or adopted.
+  /// Owner-thread tail sampler (inactive by default). Runtime ingest
+  /// policy, not synopsis state: never serialized or adopted.
   GeometricSampler tail_sampler_;
-  uint32_t tail_sample_permille_ = 1000;
   ASKETCH_TELEMETRY_ONLY(PendingTelemetry pending_;)
 };
 

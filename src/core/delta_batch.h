@@ -226,14 +226,9 @@ class DeltaBatch {
     tail_sampler_ = GeometricSampler(seed);
     tail_sampler_.SetPermille(static_cast<uint32_t>(rate * 1000.0 + 0.5));
   }
-  void SetTailSamplePermille(uint32_t permille, uint64_t seed) {
-    tail_sampler_ = GeometricSampler(seed);
-    tail_sampler_.SetPermille(permille);
-  }
   /// Tail tuples elided by sampling (their mass still counts in
   /// tail_weight(), scaled compensation covers it in expectation).
   uint64_t sampled_skips() const { return sampled_skips_; }
-  uint32_t tail_sample_permille() const { return tail_sampler_.permille(); }
 
   bool Empty() const { return tuple_count_ == 0; }
   uint64_t tuple_count() const { return tuple_count_; }

@@ -49,11 +49,9 @@ struct NetMetrics {
                                      ///< closing connection's deltas
   obs::Counter& replayed_tuples;     ///< tuples received in UPDATE frames
                                      ///< flagged as reconnect replays
-  obs::Counter& sampled_skipped_tuples;  ///< delta-mode tail tuples elided
-                                         ///< by sampling (compensated)
   obs::Gauge& connections;           ///< currently open connections
   obs::Gauge& degraded;              ///< 1 while any shard queue overflowed
-  obs::Gauge& sample_rate_permille;  ///< effective tail sampling rate
+  obs::Gauge& sample_rate_permille;  ///< configured tail sampling rate
                                      ///< (1000 = sampling off)
   obs::Histogram& request_ns;        ///< wall time of one non-UPDATE request
   obs::Histogram& delta_merge_ns;    ///< wall time of one delta fold
@@ -84,7 +82,6 @@ struct NetMetrics {
           r.GetCounter("asketch_net_delta_flushed_tuples_total"),
           r.GetCounter("asketch_net_exit_flush_shed_total"),
           r.GetCounter("asketch_net_replayed_tuples_total"),
-          r.GetCounter("asketch_net_sampled_skipped_tuples_total"),
           r.GetGauge("asketch_net_connections"),
           r.GetGauge("asketch_net_degraded"),
           r.GetGauge("asketch_net_sample_rate_permille"),

@@ -6,6 +6,7 @@
 
 #include "src/common/crc32c.h"
 #include "src/net/net_metrics.h"
+#include "src/obs/core_metrics.h"
 #include "src/obs/metrics.h"
 
 namespace asketch {
@@ -55,7 +56,11 @@ std::optional<std::string> ShardSetOptions::Validate() const {
   return shard_config.Validate();
 }
 
-ShardSet::ShardSet(const ShardSetOptions& options) : options_(options) {
+ShardSet::ShardSet(const ShardSetOptions& options)
+    : options_(options),
+      sample_permille_(std::clamp<uint32_t>(
+          static_cast<uint32_t>(options.sample_rate * 1000.0 + 0.5), 1,
+          1000)) {
   ASKETCH_CHECK(!options.Validate().has_value());
   shards_.reserve(options.num_shards);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -72,58 +77,24 @@ ShardSet::ShardSet(const ShardSetOptions& options) : options_(options) {
   // The placeholder series keeps the family present before/after any
   // ShardSet instance is alive (same trick as the pipeline gauge).
   NetMetrics::Get();
-  // Tail sampling: the configured rate is the floor; adaptive mode
-  // starts unsampled and decays toward it under pressure. Owner-side
-  // samplers are seeded per shard before the workers start, so queue-
-  // mode sampled runs are reproducible for a fixed config seed.
-  floor_permille_ = std::clamp<uint32_t>(
-      static_cast<uint32_t>(options.sample_rate * 1000.0 + 0.5), 1, 1000);
-  for (uint32_t i = 0; i < options.num_shards; ++i) {
-    std::visit(
-        [&](auto& sketch) {
-          sketch.SeedTailSampler(options.shard_config.seed ^
-                                 (0x9e3779b97f4a7c15ull * (i + 1)));
-        },
-        shards_[i]->sketch);
-  }
-  PublishSamplePermille(options.adaptive_sampling ? 1000u
-                                                  : floor_permille_);
-  for (auto& shard : shards_) {
-    shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
-  }
-}
-
-void ShardSet::PublishSamplePermille(uint32_t permille) {
-  sample_permille_.store(permille, std::memory_order_relaxed);
-  NetMetrics::Get().sample_rate_permille.Set(permille);
-  // Queue mode samples inside the shard owners; their relaxed-atomic
-  // rate targets can be stored from any thread (ASketch folds the
-  // change in at its next batch boundary). Delta mode reads
-  // sample_permille_ when a decode thread opens its next epoch, so
-  // nothing to push here.
-  if (options_.ingest_mode == IngestMode::kQueue) {
-    for (auto& shard : shards_) {
+  // Tail sampling runs at one rate, fixed here. Queue mode samples in
+  // the shard owners, seeded per shard before the workers start so
+  // sampled runs are reproducible for a fixed config seed; delta mode
+  // arms each epoch's DeltaBatch instead (AccumulateDelta).
+  NetMetrics::Get().sample_rate_permille.Set(sample_permille_);
+  if (options.ingest_mode == IngestMode::kQueue) {
+    for (uint32_t i = 0; i < options.num_shards; ++i) {
       std::visit(
-          [&](auto& sketch) { sketch.SetTailSamplePermille(permille); },
-          shard->sketch);
+          [&](auto& sketch) {
+            sketch.SetTailSampleRate(
+                options.sample_rate,
+                options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
+          },
+          shards_[i]->sketch);
     }
   }
-}
-
-void ShardSet::NoteSubmitOutcome(bool pressure) {
-  if (!options_.adaptive_sampling) return;
-  const uint32_t cur = sample_permille_.load(std::memory_order_relaxed);
-  if (pressure) {
-    calm_submits_.store(0, std::memory_order_relaxed);
-    const uint32_t next = std::max(floor_permille_, cur / 2);
-    if (next != cur) PublishSamplePermille(next);
-    return;
-  }
-  if (cur >= 1000) return;
-  if (calm_submits_.fetch_add(1, std::memory_order_relaxed) + 1 >=
-      kCalmSubmitsToRecover) {
-    calm_submits_.store(0, std::memory_order_relaxed);
-    PublishSamplePermille(std::min<uint32_t>(1000, cur * 2));
+  for (auto& shard : shards_) {
+    shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
   }
 }
 
@@ -211,11 +182,9 @@ uint64_t ShardSet::ApplyLocked(Shard& shard, WorkItem& item) {
 uint64_t ShardSet::Submit(Shard& shard, WorkItem item) {
   NetMetrics& metrics = NetMetrics::Get();
   bool enqueued = false;
-  bool pressured = false;  ///< hit a full queue (adaptive-sampling signal)
   {
     std::unique_lock<std::mutex> lock(shard.queue_mu);
     if (shard.queue.size() >= options_.max_queue_batches) {
-      pressured = true;
       metrics.enqueue_waits.Add(1);
       shard.cv_push.wait_for(
           lock, std::chrono::milliseconds(options_.max_enqueue_wait_ms),
@@ -231,11 +200,7 @@ uint64_t ShardSet::Submit(Shard& shard, WorkItem item) {
       enqueued = true;
     }
   }
-  if (enqueued) {
-    NoteSubmitOutcome(pressured);
-    return 0;
-  }
-  NoteSubmitOutcome(true);
+  if (enqueued) return 0;
   // Bounded wait exhausted: degrade. Sticky gauge — an operator seeing
   // asketch_net_degraded == 1 knows at least one queue overflowed
   // since startup (the *_total counters say how much).
@@ -304,15 +269,11 @@ void ShardSet::AccumulateDelta(std::span<const Tuple> tuples,
       slot.emplace(
           std::get<ASketch<RelaxedHeapFilter, SketchT>>(shards_[i]->sketch)
               .MakeDeltaBatch());
-      // The effective sampling rate is latched per epoch: a delta is
-      // built at one rate end to end, and adaptive changes apply from
-      // the next epoch. Each epoch gets a distinct sampler seed so
-      // concurrent decode threads do not skip in lockstep.
-      const uint32_t permille =
-          sample_permille_.load(std::memory_order_relaxed);
-      if (permille < 1000) {
-        std::get<DeltaBatch<SketchT>>(*slot).SetTailSamplePermille(
-            permille,
+      // Each epoch gets a distinct sampler seed so concurrent decode
+      // threads do not skip in lockstep.
+      if (sample_permille_ < 1000) {
+        std::get<DeltaBatch<SketchT>>(*slot).SetTailSampleRate(
+            options_.sample_rate,
             options_.shard_config.seed ^
                 (0x9e3779b97f4a7c15ull *
                  sampler_seq_.fetch_add(1, std::memory_order_relaxed)));
@@ -361,7 +322,9 @@ uint64_t ShardSet::FlushShardDelta(uint32_t index,
       std::visit([](const auto& d) { return d.tuple_count(); }, *slot));
   const uint64_t skips = std::visit(
       [](const auto& d) { return d.sampled_skips(); }, *slot);
-  if (skips != 0) metrics.sampled_skipped_tuples.Add(skips);
+  // The same counter queue mode's owners book their skips into, so one
+  // family reads the elided tail tuples whichever mode is running.
+  if (skips != 0) obs::IngestMetrics::Get().sampled_skips.Add(skips);
   WorkItem item = std::visit(
       [](auto&& delta) -> WorkItem { return WorkItem(std::move(delta)); },
       std::move(*slot));
@@ -693,17 +656,13 @@ std::optional<std::string> ShardSet::RecoverFromStore(
   if (!loaded.has_value()) {
     return "recovery failed: " + (error.empty() ? "no snapshot" : error);
   }
-  if (auto restore_error = RestoreState(loaded->payload)) {
+  const auto locks = DrainAndLockAll();
+  if (auto restore_error = RestoreLocked(loaded->payload)) {
     return restore_error;
   }
   if (digest != nullptr) {
     digest->generation = loaded->generation;
-    digest->ingested = 0;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> guard(shard->mu);
-      digest->ingested +=
-          shard->applied_tuples.load(std::memory_order_relaxed);
-    }
+    digest->ingested = AppliedTotalLocked();
     digest->digest =
         Crc32c(loaded->payload.data(), loaded->payload.size());
   }

@@ -29,6 +29,11 @@
 //   per-tuple hot path shrinks to a private table probe or tail-sketch
 //   update with no locks, condition variables, or seqlock sections.
 //
+// Either mode can sample the tail at a rate fixed at construction
+// (ShardSetOptions::sample_rate, ALGORITHMS.md §8): queue mode in the
+// shard owners, delta mode in each epoch's DeltaBatch. The head stays
+// exact in both, and both count their skips in one metric family.
+//
 // Queries read the *applied* state: tuples still queued are not yet
 // visible. SNAPSHOT and DIGEST therefore drain all queues first, making
 // them barriers — every tuple enqueued before the call is reflected in
@@ -168,14 +173,11 @@ struct ShardSetOptions {
   /// its inverse. Head keys (exact filter / delta head table) are never
   /// sampled. 1.0 (the default) is bit-identical to unsampled ingest;
   /// below 1.0 tail estimates are unbiased but no longer one-sided.
-  /// In (0, 1]. Queue mode samples in the shard owner's MissPositive;
-  /// delta mode samples in the decode threads' DeltaBatch tail path.
+  /// In (0, 1], fixed for the set's lifetime and exported as
+  /// asketch_net_sample_rate_permille. Queue mode samples in the shard
+  /// owner's MissPositive; delta mode samples in the decode threads'
+  /// DeltaBatch tail path. Skips count into asketch_sampled_skips_total.
   double sample_rate = 1.0;
-  /// "Always line rate": start unsampled and halve the effective rate
-  /// on queue pressure (bounded enqueue waits / sheds), down to
-  /// `sample_rate` as the floor; recover ×2 after a calm stretch. The
-  /// live value is exported as asketch_net_sample_rate_permille.
-  bool adaptive_sampling = false;
 
   std::optional<std::string> Validate() const;
 };
@@ -282,12 +284,6 @@ class ShardSet {
   /// fill deterministically and the overload paths can be exercised.
   void StallWorkersForTesting(bool stalled);
 
-  /// The effective tail sampling rate in permille (1000 = off). Equals
-  /// the configured rate unless adaptive_sampling is moving it.
-  uint32_t SamplePermille() const {
-    return sample_permille_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// One unit of owner-thread work: a raw tuple sub-batch (queue mode)
   /// or a whole decode-thread delta (delta mode). Flattened — not
@@ -334,13 +330,6 @@ class ShardSet {
                        DeltaIngestState& state);
   /// Flushes shard `index`'s delta from `state` if it is non-empty.
   uint64_t FlushShardDelta(uint32_t index, DeltaIngestState& state);
-  /// Publishes a new effective sampling rate: atomic target + gauge,
-  /// and (queue mode) the per-shard owner samplers' relaxed targets.
-  void PublishSamplePermille(uint32_t permille);
-  /// Adaptive-sampling feedback from one Submit: pressure (a bounded
-  /// wait or degradation) halves the rate toward the floor; a calm
-  /// stretch of kCalmSubmitsToRecover submits doubles it toward 1000.
-  void NoteSubmitOutcome(bool pressure);
   /// Writes the SerializeState payload of all shards to `writer`;
   /// caller must hold every shard.mu. False if a write failed.
   bool WriteLocked(BinaryWriter& writer) const;
@@ -355,22 +344,15 @@ class ShardSet {
   std::optional<std::string> RestoreLocked(
       std::span<const uint8_t> payload);
 
-  /// Consecutive pressure-free Submits before adaptive sampling doubles
-  /// the rate back toward 1.0 — long enough that a transient lull does
-  /// not immediately re-saturate the queues.
-  static constexpr uint32_t kCalmSubmitsToRecover = 128;
-
   ShardSetOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> shed_weight_{0};
   std::atomic<uint64_t> inline_applied_{0};
-  /// Effective tail sampling rate in permille; configured floor; calm-
-  /// submit streak (adaptive mode); per-epoch sampler seed sequence.
-  std::atomic<uint32_t> sample_permille_{1000};
-  uint32_t floor_permille_ = 1000;
-  std::atomic<uint32_t> calm_submits_{0};
+  /// Tail sampling rate in permille (1000 = off), and the sequence
+  /// that gives each delta epoch a distinct sampler seed.
+  const uint32_t sample_permille_;
   std::atomic<uint64_t> sampler_seq_{1};
   std::vector<uint64_t> gauge_ids_;
 };

@@ -7,9 +7,12 @@
 // is inert at permille 1000, so enabling the flag at rate 1.0 cannot
 // perturb a single serialized byte for either backend. Also covers
 // the delta-mode accounting invariants: tail_weight() books true
-// (unscaled) mass and sampled_skips() counts the elisions.
+// (unscaled) mass and sampled_skips() counts the elisions, and the same
+// laws end to end through a ShardSet in both ingest modes.
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +21,8 @@
 #include "src/common/serialize.h"
 #include "src/core/asketch.h"
 #include "src/core/delta_batch.h"
+#include "src/net/shard_set.h"
+#include "src/obs/metrics.h"
 #include "src/workload/exact_counter.h"
 #include "src/workload/stream_generator.h"
 
@@ -50,20 +55,21 @@ void WarmHead(ASketchT& sketch) {
   ASSERT_TRUE(sketch.filter().Full());
 }
 
-/// Hot traffic on the head keys interleaved with a zipf tail on
-/// [kFilterItems, kDomain).
-std::vector<Tuple> MixedStream(uint64_t seed) {
+/// Hot traffic on the head keys [0, head_keys) interleaved with a zipf
+/// tail on [head_keys, kDomain).
+std::vector<Tuple> MixedStream(uint64_t seed,
+                               uint32_t head_keys = kFilterItems) {
   StreamSpec spec;
   spec.stream_size = 30000;
-  spec.num_distinct = kDomain - kFilterItems;
+  spec.num_distinct = kDomain - head_keys;
   spec.skew = 1.1;
   spec.seed = seed;
   std::vector<Tuple> stream = GenerateStream(spec);
   for (size_t i = 0; i < stream.size(); ++i) {
     if (i % 3 == 0) {
-      stream[i] = Tuple{static_cast<item_t>(i % kFilterItems), 2};
+      stream[i] = Tuple{static_cast<item_t>(i % head_keys), 2};
     } else {
-      stream[i].key += kFilterItems;
+      stream[i].key += head_keys;
     }
   }
   return stream;
@@ -114,8 +120,7 @@ TEST(GeometricSamplerTest, ScaleDeltaIsUnbiased) {
 TEST(SampledIngestTest, HeadStaysBitExactUnderStableHead) {
   auto plain = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
   auto sampled = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-  sampled.SetTailSampleRate(0.05);
-  sampled.SeedTailSampler(77);
+  sampled.SetTailSampleRate(0.05, /*seed=*/77);
   WarmHead(plain);
   WarmHead(sampled);
   const std::vector<Tuple> stream = MixedStream(31);
@@ -168,8 +173,7 @@ TEST(SampledIngestTest, TailUnbiasedAcrossSeedsWithinTolerance) {
   double mean_total = 0.0;
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto sampled = MakeASketchCountMin<RelaxedHeapFilter>(SmallConfig());
-    sampled.SetTailSampleRate(0.1);
-    sampled.SeedTailSampler(seed * 0x9e3779b97f4a7c15ull);
+    sampled.SetTailSampleRate(0.1, seed * 0x9e3779b97f4a7c15ull);
     WarmHead(sampled);
     for (const Tuple& t : stream) {
       sampled.Update(t.key, static_cast<delta_t>(t.value));
@@ -191,8 +195,7 @@ TEST(SampledIngestTest, TailUnbiasedAcrossSeedsWithinTolerance) {
 
 template <typename ASketchT>
 void ExpectRateOneBitIdentical(ASketchT plain, ASketchT sampled) {
-  sampled.SetTailSampleRate(1.0);
-  sampled.SeedTailSampler(12345);  // seed must be irrelevant at 1.0
+  sampled.SetTailSampleRate(1.0, /*seed=*/12345);  // seed is irrelevant
   const std::vector<Tuple> stream = MixedStream(59);
   for (const Tuple& t : stream) {
     plain.Update(t.key, static_cast<delta_t>(t.value));
@@ -274,6 +277,117 @@ TEST(SampledIngestTest, DeltaBatchRateOneLeavesPathUntouched) {
   ASSERT_TRUE(b.SerializeTo(b_bytes));
   EXPECT_EQ(a_bytes.buffer(), b_bytes.buffer());
 }
+
+// ---------------------------------------------------------------------
+// ShardSet end to end, both ingest modes: queue mode samples in the
+// shard owners, delta mode in each epoch's DeltaBatch. Whichever runs,
+// the head stays exact, the N1/N2 ledgers book the true mass, and the
+// skips land in the one core counter.
+// ---------------------------------------------------------------------
+
+constexpr uint32_t kShards = 2;
+constexpr uint32_t kShardHeadKeys = kShards * kFilterItems;
+
+net::ShardSetOptions ShardOptions(net::IngestMode mode) {
+  net::ShardSetOptions options;
+  options.num_shards = kShards;
+  options.ingest_mode = mode;
+  options.shard_config = SmallConfig();
+  return options;
+}
+
+/// Keys [0, kShardHeadKeys) at weights no tail estimate can beat:
+/// ShardOf spreads them evenly, so every shard's filter fills with its
+/// share and keeps it (the stable-head regime of WarmHead).
+std::vector<Tuple> ShardWarmup() {
+  std::vector<Tuple> tuples;
+  for (item_t key = 0; key < kShardHeadKeys; ++key) {
+    tuples.push_back(Tuple{key, 1 << 20});
+  }
+  return tuples;
+}
+
+/// Warm-up through the queue path (null delta state, so no sampling in
+/// either mode and the heads fill first), then `payload` through the
+/// mode's own path, then a barrier.
+void IngestThroughShardSet(net::ShardSet& shards,
+                           const std::vector<Tuple>& payload) {
+  shards.Ingest(ShardWarmup());
+  shards.Drain();
+  net::DeltaIngestState state = shards.MakeDeltaState();
+  for (size_t begin = 0; begin < payload.size(); begin += 1000) {
+    const size_t count = std::min<size_t>(1000, payload.size() - begin);
+    shards.Ingest(std::span<const Tuple>(payload.data() + begin, count),
+                  &state);
+  }
+  shards.FlushDeltas(state);
+  shards.Drain();
+}
+
+uint64_t SampledSkipsTotal() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("asketch_sampled_skips_total")
+      .Value();
+}
+
+class ShardSetSampledIngestTest
+    : public ::testing::TestWithParam<net::IngestMode> {};
+
+TEST_P(ShardSetSampledIngestTest, HeadExactMassConservedSkipsCounted) {
+  net::ShardSetOptions options = ShardOptions(GetParam());
+  options.sample_rate = 0.1;
+  net::ShardSet shards(options);
+  const std::vector<Tuple> payload = MixedStream(71, kShardHeadKeys);
+  ExactCounter truth(kDomain);
+  uint64_t weight_sent = 0;
+  for (const std::vector<Tuple>& part : {ShardWarmup(), payload}) {
+    for (const Tuple& t : part) {
+      truth.Update(t.key, static_cast<delta_t>(t.value));
+      weight_sent += t.value;
+    }
+  }
+  const uint64_t skips_before = SampledSkipsTotal();
+
+  IngestThroughShardSet(shards, payload);
+
+  const net::WireStats stats = shards.GetStats();
+  EXPECT_EQ(stats.filtered_weight + stats.sketch_weight, weight_sent)
+      << "sampling must elide sketch updates, not ledger mass";
+  for (item_t key = 0; key < kShardHeadKeys; ++key) {
+    EXPECT_EQ(static_cast<wide_count_t>(shards.Estimate(key)),
+              truth.Count(key))
+        << "head key " << key;
+  }
+#ifndef ASKETCH_NO_TELEMETRY
+  EXPECT_GT(SampledSkipsTotal(), skips_before)
+      << "skips must reach asketch_sampled_skips_total in either mode";
+#else
+  (void)skips_before;
+#endif
+}
+
+TEST_P(ShardSetSampledIngestTest, RateOneDigestMatchesDefaultOptions) {
+  net::ShardSetOptions exact = ShardOptions(GetParam());
+  exact.sample_rate = 1.0;
+  net::ShardSet sampled(exact);
+  net::ShardSet plain(ShardOptions(GetParam()));
+  const std::vector<Tuple> payload = MixedStream(73, kShardHeadKeys);
+  IngestThroughShardSet(sampled, payload);
+  IngestThroughShardSet(plain, payload);
+  net::StateDigest sampled_digest;
+  net::StateDigest plain_digest;
+  sampled.DigestState(&sampled_digest);
+  plain.DigestState(&plain_digest);
+  EXPECT_EQ(sampled_digest.ingested, plain_digest.ingested);
+  EXPECT_EQ(sampled_digest.digest, plain_digest.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothIngestModes, ShardSetSampledIngestTest,
+    ::testing::Values(net::IngestMode::kQueue, net::IngestMode::kDelta),
+    [](const ::testing::TestParamInfo<net::IngestMode>& info) {
+      return info.param == net::IngestMode::kQueue ? "Queue" : "Delta";
+    });
 
 }  // namespace
 }  // namespace asketch

@@ -7,8 +7,7 @@
 //            [--metrics-port MP] [--ingest-mode queue|delta]
 //            [--queue-batches Q] [--delta-flush-tuples T]
 //            [--overload inline|shed] [--sample-rate R]
-//            [--adaptive-sampling] [--max-connections C]
-//            [--idle-timeout-ms MS]
+//            [--max-connections C] [--idle-timeout-ms MS]
 //
 // Binds 127.0.0.1:P (0 = ephemeral) and announces the bound port on
 // stdout ("asketchd listening on 127.0.0.1:PORT ...", flushed) so
@@ -60,7 +59,7 @@ int Usage() {
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
       "                [--ingest-mode queue|delta] [--queue-batches Q]\n"
       "                [--delta-flush-tuples T] [--overload inline|shed]\n"
-      "                [--sample-rate R] [--adaptive-sampling]\n"
+      "                [--sample-rate R]\n"
       "                [--prefix PFX] [--retain R] [--recover]\n"
       "                [--checkpoint-interval-ms MS] [--metrics-port MP]\n"
       "\n"
@@ -87,14 +86,12 @@ int Usage() {
       "  --queue-batches Q   bounded per-shard queue length (default "
       "64)\n"
       "  --delta-flush-tuples T  delta epoch length in tuples "
-      "(default 8192)\n"
+      "(default %u)\n"
       "  --overload POLICY   inline (default) or shed\n"
       "  --sample-rate R     tail-update sampling rate in (0, 1]\n"
       "                      (default 1.0 = every update; below 1.0 the\n"
       "                      sketch tail becomes unbiased, not one-sided;\n"
       "                      the filter head stays exact)\n"
-      "  --adaptive-sampling start at rate 1.0 and back off toward\n"
-      "                      --sample-rate only under queue pressure\n"
       "\n"
       "persistence:\n"
       "  --prefix PFX        snapshot store prefix (default: persistence "
@@ -107,7 +104,8 @@ int Usage() {
       "\n"
       "telemetry:\n"
       "  --metrics-port MP   telemetry HTTP port (default: exporter "
-      "off)\n");
+      "off)\n",
+      net::ShardSetOptions{}.delta_flush_tuples);
   return 2;
 }
 
@@ -206,8 +204,6 @@ int main(int argc, char** argv) {
       const double rate = std::strtod(v, &end);
       if (errno != 0 || end == nullptr || *end != '\0') return Usage();
       options.shards.sample_rate = rate;  // range-checked by Validate()
-    } else if (arg == "--adaptive-sampling") {
-      options.shards.adaptive_sampling = true;
     } else if (arg == "--overload") {
       const char* v = value();
       if (v == nullptr) return Usage();
