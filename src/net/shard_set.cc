@@ -22,22 +22,12 @@ uint64_t BatchWeight(std::span<const Tuple> tuples) {
   return weight;
 }
 
-AnyServingSketch MakeServingSketch(const ShardSetOptions& options) {
-  if (options.backend == SketchBackend::kSalsa) {
-    return MakeASketchSalsa<RelaxedHeapFilter>(options.shard_config);
-  }
-  return MakeASketchCountMin<RelaxedHeapFilter>(options.shard_config);
-}
-
 }  // namespace
 
 uint64_t DeltaIngestState::PendingTuples() const {
   uint64_t pending = 0;
   for (const auto& slot : per_shard_) {
-    if (slot.has_value()) {
-      pending += std::visit(
-          [](const auto& d) { return d.tuple_count(); }, *slot);
-    }
+    if (slot.has_value()) pending += slot->tuple_count();
   }
   return pending;
 }
@@ -65,7 +55,8 @@ ShardSet::ShardSet(const ShardSetOptions& options)
   shards_.reserve(options.num_shards);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   for (uint32_t i = 0; i < options.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(MakeServingSketch(options)));
+    shards_.push_back(std::make_unique<Shard>(
+        MakeASketchCountMin<RelaxedHeapFilter>(options.shard_config)));
     Shard* shard = shards_.back().get();
     gauge_ids_.push_back(registry.RegisterCallbackGauge(
         "asketch_net_shard_queue_depth",
@@ -80,17 +71,13 @@ ShardSet::ShardSet(const ShardSetOptions& options)
   // Tail sampling runs at one rate, fixed here. Queue mode samples in
   // the shard owners, seeded per shard before the workers start so
   // sampled runs are reproducible for a fixed config seed; delta mode
-  // arms each epoch's DeltaBatch instead (AccumulateDelta).
+  // arms each epoch's DeltaBatch instead (IngestDelta).
   NetMetrics::Get().sample_rate_permille.Set(sample_permille_);
   if (options.ingest_mode == IngestMode::kQueue) {
     for (uint32_t i = 0; i < options.num_shards; ++i) {
-      std::visit(
-          [&](auto& sketch) {
-            sketch.SetTailSampleRate(
-                options.sample_rate,
-                options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-          },
-          shards_[i]->sketch);
+      shards_[i]->sketch.SetTailSampleRate(
+          options.sample_rate,
+          options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     }
   }
   for (auto& shard : shards_) {
@@ -150,18 +137,12 @@ uint64_t ShardSet::ApplyLocked(Shard& shard, WorkItem& item) {
       [&](auto& work) -> uint64_t {
         using W = std::decay_t<decltype(work)>;
         if constexpr (std::is_same_v<W, std::vector<Tuple>>) {
-          std::visit([&](auto& sketch) { sketch.UpdateBatch(work); },
-                     shard.sketch);
+          shard.sketch.UpdateBatch(work);
           return work.size();
         } else {
-          // A delta folds into the matching backend alternative — the
-          // state it came from was built against this very shard.
-          using SketchT = std::decay_t<decltype(work.tail())>;
-          auto& sketch =
-              std::get<ASketch<RelaxedHeapFilter, SketchT>>(shard.sketch);
           NetMetrics& metrics = NetMetrics::Get();
           const auto start = std::chrono::steady_clock::now();
-          const auto error = sketch.ApplyDelta(work);
+          const auto error = shard.sketch.ApplyDelta(work);
           ASKETCH_CHECK(!error.has_value());
           metrics.delta_merge_ns.Record(static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -253,54 +234,38 @@ DeltaIngestState ShardSet::MakeDeltaState() const {
   return state;
 }
 
-template <typename SketchT>
-void ShardSet::AccumulateDelta(std::span<const Tuple> tuples,
+uint64_t ShardSet::IngestDelta(std::span<const Tuple> tuples,
                                DeltaIngestState& state) {
   const uint32_t n = num_shards();
-  // Resolve each shard's typed delta once; per tuple the loop below is
-  // one multiplicative hash plus one open-addressed probe (plus a tail
+  ASKETCH_CHECK(state.per_shard_.size() == n);
+  // Resolve each shard's delta once; per tuple the loop below is one
+  // multiplicative hash plus one open-addressed probe (plus a tail
   // update for the miss minority).
-  std::vector<DeltaBatch<SketchT>*> deltas(n);
+  std::vector<DeltaBatch<CountMin>*> deltas(n);
   for (uint32_t i = 0; i < n; ++i) {
     auto& slot = state.per_shard_[i];
     if (!slot.has_value()) {
       // Open a fresh delta epoch: head snapshot taken lock-free from
       // the live filter, tail sketch built from the shard's config.
-      slot.emplace(
-          std::get<ASketch<RelaxedHeapFilter, SketchT>>(shards_[i]->sketch)
-              .MakeDeltaBatch());
+      slot.emplace(shards_[i]->sketch.MakeDeltaBatch());
       // Each epoch gets a distinct sampler seed so concurrent decode
       // threads do not skip in lockstep.
       if (sample_permille_ < 1000) {
-        std::get<DeltaBatch<SketchT>>(*slot).SetTailSampleRate(
+        slot->SetTailSampleRate(
             options_.sample_rate,
             options_.shard_config.seed ^
                 (0x9e3779b97f4a7c15ull *
                  sampler_seq_.fetch_add(1, std::memory_order_relaxed)));
       }
     }
-    deltas[i] = &std::get<DeltaBatch<SketchT>>(*slot);
+    deltas[i] = &*slot;
   }
   for (const Tuple& t : tuples) {
     deltas[ShardOf(t.key, n)]->Add(t.key, t.value);
   }
-}
-
-uint64_t ShardSet::IngestDelta(std::span<const Tuple> tuples,
-                               DeltaIngestState& state) {
-  const uint32_t n = num_shards();
-  ASKETCH_CHECK(state.per_shard_.size() == n);
-  if (options_.backend == SketchBackend::kCountMin) {
-    AccumulateDelta<CountMin>(tuples, state);
-  } else {
-    AccumulateDelta<SalsaCountMin>(tuples, state);
-  }
   uint64_t shed = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    const uint64_t count = std::visit(
-        [](const auto& delta) { return delta.tuple_count(); },
-        *state.per_shard_[i]);
-    if (count >= options_.delta_flush_tuples) {
+    if (deltas[i]->tuple_count() >= options_.delta_flush_tuples) {
       shed += FlushShardDelta(i, state);
     }
   }
@@ -311,23 +276,16 @@ uint64_t ShardSet::FlushShardDelta(uint32_t index,
                                    DeltaIngestState& state) {
   auto& slot = state.per_shard_[index];
   if (!slot.has_value()) return 0;
-  const bool empty =
-      std::visit([](const auto& d) { return d.Empty(); }, *slot);
-  if (empty) {
+  if (slot->Empty()) {
     slot.reset();
     return 0;
   }
-  NetMetrics& metrics = NetMetrics::Get();
-  metrics.delta_flushed_tuples.Add(
-      std::visit([](const auto& d) { return d.tuple_count(); }, *slot));
-  const uint64_t skips = std::visit(
-      [](const auto& d) { return d.sampled_skips(); }, *slot);
+  NetMetrics::Get().delta_flushed_tuples.Add(slot->tuple_count());
+  const uint64_t skips = slot->sampled_skips();
   // The same counter queue mode's owners book their skips into, so one
   // family reads the elided tail tuples whichever mode is running.
   if (skips != 0) obs::IngestMetrics::Get().sampled_skips.Add(skips);
-  WorkItem item = std::visit(
-      [](auto&& delta) -> WorkItem { return WorkItem(std::move(delta)); },
-      std::move(*slot));
+  WorkItem item(std::move(*slot));
   slot.reset();
   return Submit(*shards_[index], std::move(item));
 }
@@ -377,11 +335,7 @@ uint64_t ExactHits(const FilterEntry& e) {
 count_t ShardSet::Estimate(item_t key) const {
   const Shard& shard = *shards_[ShardOf(key, num_shards())];
   uint64_t retries = 0;
-  const count_t estimate = std::visit(
-      [&](const auto& sketch) {
-        return sketch.EstimateConcurrent(key, &retries);
-      },
-      shard.sketch);
+  const count_t estimate = shard.sketch.EstimateConcurrent(key, &retries);
   RecordLocklessRead(1, retries);
   return estimate;
 }
@@ -399,14 +353,10 @@ void ShardSet::EstimateBatch(std::span<const item_t> keys,
   }
   uint64_t retries = 0;
   for (uint32_t s = 0; s < n; ++s) {
-    const Shard& shard = *shards_[s];
-    std::visit(
-        [&](const auto& sketch) {
-          for (const uint32_t i : groups[s]) {
-            (*estimates)[i] = sketch.EstimateConcurrent(keys[i], &retries);
-          }
-        },
-        shard.sketch);
+    const ServingSketch& sketch = shards_[s]->sketch;
+    for (const uint32_t i : groups[s]) {
+      (*estimates)[i] = sketch.EstimateConcurrent(keys[i], &retries);
+    }
   }
   RecordLocklessRead(keys.size(), retries);
 }
@@ -414,21 +364,14 @@ void ShardSet::EstimateBatch(std::span<const item_t> keys,
 count_t ShardSet::EstimateMutexBaseline(item_t key) const {
   const Shard& shard = *shards_[ShardOf(key, num_shards())];
   std::lock_guard<std::mutex> guard(shard.mu);
-  return std::visit(
-      [&](const auto& sketch) { return sketch.Estimate(key); },
-      shard.sketch);
+  return shard.sketch.Estimate(key);
 }
 
 std::vector<TopKEntry> ShardSet::TopK(uint32_t k) const {
   std::vector<TopKEntry> merged;
   uint64_t retries = 0;
   for (const auto& shard : shards_) {
-    const std::vector<FilterEntry> entries = std::visit(
-        [&](const auto& sketch) {
-          return sketch.TopKConcurrent(&retries);
-        },
-        shard->sketch);
-    for (const FilterEntry& e : entries) {
+    for (const FilterEntry& e : shard->sketch.TopKConcurrent(&retries)) {
       merged.push_back(TopKEntry{e.key, e.new_count, ExactHits(e)});
     }
   }
@@ -453,16 +396,12 @@ WireStats ShardSet::GetStats() const {
   stats.inline_applied = inline_applied_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> guard(shard->mu);
-    std::visit(
-        [&](const auto& sketch) {
-          const ASketchStats& s = sketch.stats();
-          stats.filtered_weight += s.filtered_weight;
-          stats.sketch_weight += s.sketch_weight;
-          stats.exchanges += s.exchanges;
-          stats.sketch_updates += s.sketch_updates;
-          stats.memory_bytes += sketch.MemoryUsageBytes();
-        },
-        shard->sketch);
+    const ASketchStats& s = shard->sketch.stats();
+    stats.filtered_weight += s.filtered_weight;
+    stats.sketch_weight += s.sketch_weight;
+    stats.exchanges += s.exchanges;
+    stats.sketch_updates += s.sketch_updates;
+    stats.memory_bytes += shard->sketch.MemoryUsageBytes();
     stats.ingested +=
         shard->applied_tuples.load(std::memory_order_relaxed);
     stats.per_shard_ingested.push_back(
@@ -478,10 +417,7 @@ bool ShardSet::WriteLocked(BinaryWriter& writer) const {
   writer.PutU64(inline_applied_.load(std::memory_order_relaxed));
   for (const auto& shard : shards_) {
     writer.PutU64(shard->applied_tuples.load(std::memory_order_relaxed));
-    const bool ok = std::visit(
-        [&](const auto& sketch) { return sketch.SerializeTo(writer); },
-        shard->sketch);
-    if (!ok) return false;
+    if (!shard->sketch.SerializeTo(writer)) return false;
   }
   return writer.ok();
 }
@@ -527,36 +463,23 @@ std::optional<std::string> ShardSet::RestoreLocked(
            "a matching --shards)";
   }
   // Parse everything before committing, so a truncated payload cannot
-  // leave the set half-restored. The parsed alternative matches the
-  // running backend (ASketch's sketch magic differs per backend, so a
-  // snapshot cut under the other --sketch fails to deserialize here
-  // instead of half-adopting).
+  // leave the set half-restored. A shard whose sketch is not Count-Min
+  // (its payload magic differs) fails to deserialize here instead of
+  // half-adopting.
   std::vector<uint64_t> applied(shard_count);
-  std::vector<AnyServingSketch> sketches;
+  std::vector<ServingSketch> sketches;
   sketches.reserve(shard_count);
   for (uint32_t i = 0; i < shard_count; ++i) {
     if (!reader.GetU64(&applied[i])) {
       return std::string("shard-set payload: truncated shard header");
     }
-    bool parsed = false;
-    if (options_.backend == SketchBackend::kSalsa) {
-      auto sketch = ServingSketchSalsa::DeserializeFrom(reader);
-      if (sketch.has_value()) {
-        sketches.emplace_back(*std::move(sketch));
-        parsed = true;
-      }
-    } else {
-      auto sketch = ServingSketch::DeserializeFrom(reader);
-      if (sketch.has_value()) {
-        sketches.emplace_back(*std::move(sketch));
-        parsed = true;
-      }
-    }
-    if (!parsed) {
+    auto sketch = ServingSketch::DeserializeFrom(reader);
+    if (!sketch.has_value()) {
       return "shard-set payload: shard " + std::to_string(i) +
-             " failed to deserialize (corrupt, or cut under a different "
-             "--sketch backend)";
+             " failed to deserialize (corrupt, or not a Count-Min "
+             "ASketch)";
     }
+    sketches.push_back(*std::move(sketch));
   }
   // Adopt in place: the restored state is copied into the live shards'
   // existing buffers instead of move-assigned over them, so lock-free
@@ -565,13 +488,7 @@ std::optional<std::string> ShardSet::RestoreLocked(
   // shape compatibility a hard requirement; check every shard before
   // touching any of them so a mismatch cannot half-restore the set.
   for (uint32_t i = 0; i < shard_count; ++i) {
-    const bool adoptable = std::visit(
-        [&](const auto& live) {
-          using SketchT = std::decay_t<decltype(live)>;
-          return live.CanAdoptFrom(std::get<SketchT>(sketches[i]));
-        },
-        shards_[i]->sketch);
-    if (!adoptable) {
+    if (!shards_[i]->sketch.CanAdoptFrom(sketches[i])) {
       return "shard-set payload: shard " + std::to_string(i) +
              " has a different filter capacity or sketch geometry than "
              "this server's configuration (restart with the snapshot's "
@@ -579,12 +496,7 @@ std::optional<std::string> ShardSet::RestoreLocked(
     }
   }
   for (uint32_t i = 0; i < shard_count; ++i) {
-    std::visit(
-        [&](auto& live) {
-          using SketchT = std::decay_t<decltype(live)>;
-          live.AdoptFrom(std::move(std::get<SketchT>(sketches[i])));
-        },
-        shards_[i]->sketch);
+    shards_[i]->sketch.AdoptFrom(std::move(sketches[i]));
     shards_[i]->applied_tuples.store(applied[i],
                                      std::memory_order_release);
   }

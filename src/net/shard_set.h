@@ -85,29 +85,10 @@ namespace net {
 
 /// The serving synopsis type — the same composition asketch_cli
 /// persists, so operators can inspect asketchd snapshots with the CLI's
-/// tooling conventions.
+/// tooling conventions. Count-Min is the paper's configuration and the
+/// one backend the AVX2 batch kernel and hugepage-backed arrays serve;
+/// SalsaCountMin runs in process only (MakeASketchSalsa).
 using ServingSketch = ASketch<RelaxedHeapFilter, CountMin>;
-
-/// The SALSA-backed alternative (asketchd --sketch=salsa): identical
-/// filter, self-adjusting Count-Min rows (salsa_count_min.h). Same
-/// lock-free read guarantees — EstimateRelaxed validates the sketch's
-/// merge epoch instead of relying on cell monotonicity alone.
-using ServingSketchSalsa = ASketch<RelaxedHeapFilter, SalsaCountMin>;
-
-/// Which sketch backend each shard's ASketch composes. The wire format,
-/// shard header, and filter are identical across backends; snapshots
-/// embed the backend's own sketch magic, so restoring a snapshot into a
-/// server running the other backend fails cleanly at deserialization.
-enum class SketchBackend {
-  kCountMin,
-  kSalsa,
-};
-
-/// One shard's synopsis, whichever backend the options selected. All
-/// per-shard operations dispatch through std::visit; the alternatives
-/// share every API the shard code touches, so the visitors are generic
-/// lambdas and the variant never pays a heap indirection.
-using AnyServingSketch = std::variant<ServingSketch, ServingSketchSalsa>;
 
 /// Snapshot payload tag for a serialized ShardSet ("SRD1" — application
 /// namespace, top byte outside the library's 0x41 composed tags).
@@ -142,16 +123,12 @@ class DeltaIngestState {
  private:
   friend class ShardSet;
 
-  using AnyDeltaBatch =
-      std::variant<DeltaBatch<CountMin>, DeltaBatch<SalsaCountMin>>;
-
-  std::vector<std::optional<AnyDeltaBatch>> per_shard_;
+  std::vector<std::optional<DeltaBatch<CountMin>>> per_shard_;
 };
 
 struct ShardSetOptions {
   uint32_t num_shards = 4;
   ASketchConfig shard_config;
-  SketchBackend backend = SketchBackend::kCountMin;
   /// Bounded per-shard queue length, in batches.
   size_t max_queue_batches = 64;
   /// How long Ingest waits on a full queue before degrading.
@@ -286,17 +263,15 @@ class ShardSet {
 
  private:
   /// One unit of owner-thread work: a raw tuple sub-batch (queue mode)
-  /// or a whole decode-thread delta (delta mode). Flattened — not
-  /// variant-of-variant — so the worker dispatches once.
-  using WorkItem = std::variant<std::vector<Tuple>, DeltaBatch<CountMin>,
-                                DeltaBatch<SalsaCountMin>>;
+  /// or a whole decode-thread delta (delta mode).
+  using WorkItem = std::variant<std::vector<Tuple>, DeltaBatch<CountMin>>;
 
   struct Shard {
     /// Serializes the *writers* of sketch + applied_tuples (worker
     /// batch application, inline-apply, restore). Readers go through
     /// the sketch's lock-free query path instead of taking it.
     mutable std::mutex mu;
-    AnyServingSketch sketch;
+    ServingSketch sketch;
     /// Tuples applied (worker + inline). Written under mu, bumped only
     /// at work-item boundaries; read without mu by AppliedTuples.
     std::atomic<uint64_t> applied_tuples{0};
@@ -309,7 +284,7 @@ class ShardSet {
     bool busy = false;  ///< worker currently applying a batch
     std::thread worker;
 
-    explicit Shard(AnyServingSketch s) : sketch(std::move(s)) {}
+    explicit Shard(ServingSketch s) : sketch(std::move(s)) {}
   };
 
   void WorkerLoop(Shard& shard);
@@ -321,12 +296,6 @@ class ShardSet {
   uint64_t Submit(Shard& shard, WorkItem item);
   /// Delta-mode Ingest body: absorb into `state`, flush full epochs.
   uint64_t IngestDelta(std::span<const Tuple> tuples,
-                       DeltaIngestState& state);
-  /// Backend-typed accumulation loop: the variant dispatch is hoisted
-  /// out of the per-tuple path (all shards share one backend), so each
-  /// tuple pays one ShardOf and one DeltaBatch::Add — no staging copy.
-  template <typename SketchT>
-  void AccumulateDelta(std::span<const Tuple> tuples,
                        DeltaIngestState& state);
   /// Flushes shard `index`'s delta from `state` if it is non-empty.
   uint64_t FlushShardDelta(uint32_t index, DeltaIngestState& state);

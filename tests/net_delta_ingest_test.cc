@@ -21,10 +21,9 @@ namespace {
 constexpr uint32_t kFilterItems = 16;
 constexpr uint32_t kDomain = 4096;
 
-ShardSetOptions BaseOptions(SketchBackend backend, IngestMode mode) {
+ShardSetOptions BaseOptions(IngestMode mode) {
   ShardSetOptions options;
   options.num_shards = 4;
-  options.backend = backend;
   options.ingest_mode = mode;
   options.shard_config.total_bytes = 32 * 1024;
   options.shard_config.width = 4;
@@ -62,10 +61,8 @@ uint64_t TotalApplied(const ShardSet& shards) {
 }
 
 TEST(NetDeltaIngestTest, QueueAndDeltaModeAgreeUnderStableHead) {
-  ShardSet queue_set(
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kQueue));
-  ShardSet delta_set(
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta));
+  ShardSet queue_set(BaseOptions(IngestMode::kQueue));
+  ShardSet delta_set(BaseOptions(IngestMode::kDelta));
   const std::vector<Tuple> warmup = WarmupTuples();
   // Null state => queue path in both sets: identical warm-up.
   queue_set.Ingest(warmup);
@@ -102,27 +99,8 @@ TEST(NetDeltaIngestTest, QueueAndDeltaModeAgreeUnderStableHead) {
   }
 }
 
-TEST(NetDeltaIngestTest, SalsaDeltaModeStaysOneSided) {
-  ShardSet shards(BaseOptions(SketchBackend::kSalsa, IngestMode::kDelta));
-  ExactCounter truth(kDomain);
-  const std::vector<Tuple> payload = PayloadTuples(37);
-  for (const Tuple& t : payload) {
-    truth.Update(t.key, static_cast<delta_t>(t.value));
-  }
-  DeltaIngestState state = shards.MakeDeltaState();
-  shards.Ingest(payload, &state);
-  shards.FlushDeltas(state);
-  shards.Drain();
-  for (item_t key = 0; key < kDomain; ++key) {
-    ASSERT_GE(static_cast<wide_count_t>(shards.Estimate(key)),
-              truth.Count(key))
-        << "key " << key;
-  }
-}
-
 TEST(NetDeltaIngestTest, TuplesBecomeVisibleOnlyAtFlush) {
-  ShardSetOptions options =
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta);
+  ShardSetOptions options = BaseOptions(IngestMode::kDelta);
   options.delta_flush_tuples = 1u << 30;  // never auto-flush
   ShardSet shards(options);
   DeltaIngestState state = shards.MakeDeltaState();
@@ -143,8 +121,7 @@ TEST(NetDeltaIngestTest, TuplesBecomeVisibleOnlyAtFlush) {
 }
 
 TEST(NetDeltaIngestTest, AutoFlushHonorsEpochThreshold) {
-  ShardSetOptions options =
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta);
+  ShardSetOptions options = BaseOptions(IngestMode::kDelta);
   options.delta_flush_tuples = 256;
   ShardSet shards(options);
   DeltaIngestState state = shards.MakeDeltaState();
@@ -161,8 +138,7 @@ TEST(NetDeltaIngestTest, AutoFlushHonorsEpochThreshold) {
 }
 
 TEST(NetDeltaIngestTest, ShedOverloadAccountsDeltaWeight) {
-  ShardSetOptions options =
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta);
+  ShardSetOptions options = BaseOptions(IngestMode::kDelta);
   options.overload = OverloadPolicy::kShed;
   options.max_queue_batches = 1;
   options.max_enqueue_wait_ms = 1;
@@ -186,7 +162,7 @@ TEST(NetDeltaIngestTest, ShedOverloadAccountsDeltaWeight) {
 }
 
 TEST(NetDeltaIngestTest, SnapshotRoundTripsDeltaIngestedState) {
-  ShardSet shards(BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta));
+  ShardSet shards(BaseOptions(IngestMode::kDelta));
   DeltaIngestState state = shards.MakeDeltaState();
   const std::vector<Tuple> payload = PayloadTuples(43);
   shards.Ingest(payload, &state);
@@ -196,8 +172,7 @@ TEST(NetDeltaIngestTest, SnapshotRoundTripsDeltaIngestedState) {
   ASSERT_FALSE(payload_bytes.empty());
   EXPECT_EQ(digest.ingested, payload.size());
 
-  ShardSet restored(
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta));
+  ShardSet restored(BaseOptions(IngestMode::kDelta));
   ASSERT_FALSE(restored.RestoreState(payload_bytes).has_value());
   for (item_t key = 0; key < kDomain; key += 7) {
     EXPECT_EQ(restored.Estimate(key), shards.Estimate(key));
@@ -209,8 +184,7 @@ TEST(NetDeltaIngestTest, SnapshotRoundTripsDeltaIngestedState) {
 // exactness check on applied counts and a one-sidedness check against
 // the union stream.
 TEST(NetDeltaIngestTest, ConcurrentDecodeThreadsAndReadersAreSafe) {
-  ShardSetOptions options =
-      BaseOptions(SketchBackend::kCountMin, IngestMode::kDelta);
+  ShardSetOptions options = BaseOptions(IngestMode::kDelta);
   options.delta_flush_tuples = 512;
   ShardSet shards(options);
   ExactCounter truth(kDomain);

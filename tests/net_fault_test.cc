@@ -52,6 +52,16 @@ std::vector<Tuple> TestStream(uint64_t n, uint64_t seed = 7) {
   return GenerateStream(spec);
 }
 
+/// Polls `done` every 10 ms until it holds or 10 s pass.
+template <typename Pred>
+void WaitUntil(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 /// A scriptable single-connection server speaking just enough of the
 /// protocol to drive client failure paths the real Server is too
 /// well-behaved to exercise (silent hangs, mid-request closes).
@@ -398,8 +408,10 @@ TEST(NetFault, ReadDeadlineFiresAgainstSilentServer) {
   MiniServer server(MiniServer::Behavior::kSilentAfterHello);
   ASSERT_TRUE(server.ok());
 
+#ifndef ASKETCH_NO_TELEMETRY
   const uint64_t expired_before =
       NetMetrics::Get().deadline_expired.Value();
+#endif
   ClientOptions options;
   options.port = server.port();
   options.read_timeout_ms = 200;
@@ -413,7 +425,9 @@ TEST(NetFault, ReadDeadlineFiresAgainstSilentServer) {
   ASSERT_TRUE(error.has_value());
   EXPECT_NE(error->find("deadline"), std::string::npos) << *error;
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+#ifndef ASKETCH_NO_TELEMETRY
   EXPECT_GT(NetMetrics::Get().deadline_expired.Value(), expired_before);
+#endif
 }
 
 TEST(NetFault, ConnectDeadlineFiresAgainstNeverAcceptingListener) {
@@ -499,8 +513,10 @@ TEST(NetFault, IdleConnectionDisconnectedAndCounted) {
   Server server(options);
   ASSERT_EQ(server.Start(), std::nullopt);
 
+#ifndef ASKETCH_NO_TELEMETRY
   const uint64_t idle_before =
       NetMetrics::Get().idle_disconnects.Value();
+#endif
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -531,7 +547,9 @@ TEST(NetFault, IdleConnectionDisconnectedAndCounted) {
   const auto notice = decoder.Next();
   ASSERT_TRUE(notice.has_value());
   EXPECT_EQ(notice->status, NetStatus::kShuttingDown);
+#ifndef ASKETCH_NO_TELEMETRY
   EXPECT_GT(NetMetrics::Get().idle_disconnects.Value(), idle_before);
+#endif
 }
 
 // A meaningful idle deadline must not cut off a connection that is
@@ -566,9 +584,11 @@ TEST(NetFault, ReplayedBatchesBookedSeparatelyFromFirstTransmissions) {
   FaultInjectingSocket faults;
   faults.ArmSendErrorAt(6, ECONNRESET);
 
+#ifndef ASKETCH_NO_TELEMETRY
   const uint64_t update_before = NetMetrics::Get().update_tuples.Value();
   const uint64_t replayed_before =
       NetMetrics::Get().replayed_tuples.Value();
+#endif
 
   ClientOptions options;
   options.port = server.port();
@@ -591,6 +611,7 @@ TEST(NetFault, ReplayedBatchesBookedSeparatelyFromFirstTransmissions) {
   ASSERT_GE(client.reconnects(), 1u) << "the armed reset must have bitten";
   ASSERT_GT(client.replayed_tuples(), 0u);
 
+#ifndef ASKETCH_NO_TELEMETRY
   const uint64_t update_delta =
       NetMetrics::Get().update_tuples.Value() - update_before;
   const uint64_t replayed_delta =
@@ -607,6 +628,7 @@ TEST(NetFault, ReplayedBatchesBookedSeparatelyFromFirstTransmissions) {
   // — it reset with the reconnect — so totals are checked against the
   // process-wide metrics, not the final ack.)
   EXPECT_GE(update_delta + replayed_delta, tuples.size());
+#endif
 }
 
 // --------------------------------------------------------------------
@@ -634,7 +656,11 @@ TEST(NetFault, ExitFlushShedWeightIsCounted) {
   server.shards().Ingest(tuples, &filler);
   EXPECT_EQ(server.shards().FlushDeltas(filler), 0u);
 
+  const uint64_t shed_weight = 3ull * tuples.size();
+  const uint64_t stats_before = server.shards().GetStats().shed_weight;
+#ifndef ASKETCH_NO_TELEMETRY
   const uint64_t shed_before = NetMetrics::Get().exit_flush_shed.Value();
+#endif
   {
     Client client;
     ASSERT_EQ(client.Connect({.port = server.port()}), std::nullopt);
@@ -645,16 +671,21 @@ TEST(NetFault, ExitFlushShedWeightIsCounted) {
     EXPECT_EQ(client.last_ack().received_tuples, tuples.size());
   }
   // The connection thread runs its teardown flush asynchronously.
-  uint64_t shed_delta = 0;
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() - start <
-         std::chrono::seconds(10)) {
-    shed_delta = NetMetrics::Get().exit_flush_shed.Value() - shed_before;
-    if (shed_delta != 0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(shed_delta, 3ull * tuples.size())
+  const auto stats_shed = [&] {
+    return server.shards().GetStats().shed_weight - stats_before;
+  };
+  WaitUntil([&] { return stats_shed() >= shed_weight; });
+  EXPECT_EQ(stats_shed(), shed_weight)
+      << "the teardown flush must shed every weight unit it could not queue";
+#ifndef ASKETCH_NO_TELEMETRY
+  // FlushOnExit books the counter just after the flush returns.
+  const auto counted = [&] {
+    return NetMetrics::Get().exit_flush_shed.Value() - shed_before;
+  };
+  WaitUntil([&] { return counted() != 0; });
+  EXPECT_EQ(counted(), shed_weight)
       << "the teardown flush dropped weight without booking it";
+#endif
   server.shards().StallWorkersForTesting(false);
   server.Stop();
 }

@@ -267,9 +267,8 @@ ServerOptions MultiMiBServer() {
   return options;
 }
 
-TEST(NetServer, SalsaWireDigestMatchesSerializedPayloadAndOracle) {
-  ServerOptions options = MultiMiBServer();
-  options.shards.backend = SketchBackend::kSalsa;
+TEST(NetServer, WireDigestMatchesSerializedPayloadAndOracle) {
+  const ServerOptions options = MultiMiBServer();
   const auto tuples = TestStream(200'000);
   const StateDigest wire =
       ExpectWireDigestMatchesSerializedPayload(options, tuples);
@@ -282,14 +281,9 @@ TEST(NetServer, SalsaWireDigestMatchesSerializedPayloadAndOracle) {
 }
 
 TEST(NetServer, DeltaModeWireDigestMatchesSerializedPayload) {
-  for (const SketchBackend backend :
-       {SketchBackend::kCountMin, SketchBackend::kSalsa}) {
-    SCOPED_TRACE(backend == SketchBackend::kSalsa ? "salsa" : "count-min");
-    ServerOptions options = MultiMiBServer();
-    options.shards.backend = backend;
-    options.shards.ingest_mode = IngestMode::kDelta;
-    ExpectWireDigestMatchesSerializedPayload(options, TestStream(200'000));
-  }
+  ServerOptions options = MultiMiBServer();
+  options.shards.ingest_mode = IngestMode::kDelta;
+  ExpectWireDigestMatchesSerializedPayload(options, TestStream(200'000));
 }
 
 // Concurrent clients: total ingested tuples are conserved and every
@@ -402,95 +396,6 @@ TEST(NetServer, SnapshotRecoverBitIdentical) {
     ASSERT_EQ(client.Digest(&recovered), std::nullopt);
     EXPECT_EQ(recovered.digest, saved.digest);
     EXPECT_EQ(recovered.ingested, saved.ingested);
-  }
-  fs::remove_all(dir);
-}
-
-// The salsa backend must serve the full query surface: point queries,
-// batch queries, and the merged TOPK, all one-sided against an exact
-// counter of the ingested stream.
-TEST(NetServer, SalsaBackendServesQueriesAndTopK) {
-  ServerOptions options = SmallServer();
-  options.shards.backend = SketchBackend::kSalsa;
-  Server server(options);
-  ASSERT_EQ(server.Start(), std::nullopt);
-  ShardSet oracle(options.shards);
-
-  const auto tuples = TestStream(50'000);
-  oracle.Ingest(tuples);
-  oracle.Drain();
-
-  Client client;
-  ASSERT_EQ(client.Connect({.port = server.port()}), std::nullopt);
-  ASSERT_EQ(client.Update(tuples), std::nullopt);
-  ASSERT_EQ(client.Flush(), std::nullopt);
-
-  StateDigest server_digest;
-  ASSERT_EQ(client.Digest(&server_digest), std::nullopt);
-  StateDigest oracle_digest;
-  oracle.SerializeState(&oracle_digest);
-  EXPECT_EQ(server_digest.digest, oracle_digest.digest);
-
-  std::unordered_map<item_t, uint64_t> exact;
-  for (const Tuple& t : tuples) exact[t.key] += t.value;
-  std::vector<item_t> keys;
-  std::vector<uint64_t> estimates;
-  for (const auto& [key, count] : exact) keys.push_back(key);
-  ASSERT_EQ(client.QueryBatch(keys, &estimates), std::nullopt);
-  ASSERT_EQ(estimates.size(), keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_GE(estimates[i], exact[keys[i]]) << "key " << keys[i];
-    EXPECT_EQ(estimates[i], oracle.Estimate(keys[i]));
-  }
-  std::vector<TopKEntry> wire_topk;
-  ASSERT_EQ(client.TopK(16, &wire_topk), std::nullopt);
-  const auto oracle_topk = oracle.TopK(16);
-  ASSERT_EQ(wire_topk.size(), oracle_topk.size());
-  for (size_t i = 0; i < wire_topk.size(); ++i) {
-    EXPECT_EQ(wire_topk[i].key, oracle_topk[i].key);
-    EXPECT_EQ(wire_topk[i].estimate, oracle_topk[i].estimate);
-  }
-}
-
-TEST(NetServer, SalsaBackendSnapshotRecoverBitIdentical) {
-  const fs::path dir =
-      fs::path(testing::TempDir()) / "asketchd_salsa_recover_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string prefix = (dir / "ckpt").string();
-
-  ServerOptions options = SmallServer();
-  options.shards.backend = SketchBackend::kSalsa;
-  options.snapshot_prefix = prefix;
-  StateDigest saved;
-  {
-    Server server(options);
-    ASSERT_EQ(server.Start(), std::nullopt);
-    Client client;
-    ASSERT_EQ(client.Connect({.port = server.port()}), std::nullopt);
-    ASSERT_EQ(client.Update(TestStream(30'000)), std::nullopt);
-    ASSERT_EQ(client.Flush(), std::nullopt);
-    ASSERT_EQ(client.Snapshot(&saved), std::nullopt);
-    server.Stop();
-  }
-  {
-    ServerOptions recover_options = options;
-    recover_options.recover = true;
-    Server server(recover_options);
-    ASSERT_EQ(server.Start(), std::nullopt);
-    ASSERT_TRUE(server.recovered().has_value());
-    EXPECT_EQ(server.recovered()->digest, saved.digest);
-    EXPECT_EQ(server.recovered()->ingested, saved.ingested);
-  }
-  {
-    // A salsa checkpoint must not restore under the countmin backend:
-    // the sketch magics differ, so recovery fails hard instead of
-    // silently misreading counters.
-    ServerOptions cross_options = options;
-    cross_options.recover = true;
-    cross_options.shards.backend = SketchBackend::kCountMin;
-    Server server(cross_options);
-    EXPECT_NE(server.Start(), std::nullopt);
   }
   fs::remove_all(dir);
 }
@@ -643,6 +548,40 @@ TEST(ShardSetTest, TopKClampsUnderflowedRestoredCounts) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// A checkpoint whose shards hold some other sketch — such as one cut by
+// an older build that could serve SALSA — must fail to restore hard,
+// leaving the live state untouched, instead of misreading its counters.
+TEST(ShardSetTest, RestoreRejectsForeignSketchPayload) {
+  ShardSetOptions options;
+  options.num_shards = 2;
+  options.shard_config.total_bytes = 32 * 1024;
+  BinaryWriter writer;
+  writer.PutU32(kShardSetPayloadType);  // "SRD1", WriteLocked's header
+  writer.PutU32(options.num_shards);
+  writer.PutU64(0);  // shed_weight
+  writer.PutU64(0);  // inline_applied
+  for (uint32_t s = 0; s < options.num_shards; ++s) {
+    auto foreign = MakeASketchSalsa<RelaxedHeapFilter>(options.shard_config);
+    foreign.Update(s + 1, 3);
+    writer.PutU64(1);  // applied_tuples
+    ASSERT_TRUE(foreign.SerializeTo(writer));
+  }
+  ASSERT_TRUE(writer.ok());
+
+  ShardSet set(options);
+  set.Ingest(TestStream(5'000));
+  StateDigest before;
+  set.DigestState(&before);
+  const auto error = set.RestoreState(writer.buffer());
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("failed to deserialize"), std::string::npos)
+      << *error;
+  StateDigest after;
+  set.DigestState(&after);
+  EXPECT_EQ(after.digest, before.digest);
+  EXPECT_EQ(after.ingested, before.ingested);
 }
 
 TEST(NetServer, TopKClampsUnderflowOverWireAfterRecover) {

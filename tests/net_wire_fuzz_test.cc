@@ -172,10 +172,11 @@ uint64_t RunSchedule(uint16_t port, uint64_t seed, int rounds) {
 TEST(NetWireFuzz, ServerSurvivesSeededAttackSchedules) {
   Server server(SmallServer());
   ASSERT_EQ(server.Start(), std::nullopt);
+#ifndef ASKETCH_NO_TELEMETRY
   NetMetrics& metrics = NetMetrics::Get();
-
   const uint64_t errors_before = metrics.frame_errors_total.Value();
   const uint64_t corrupt_before = metrics.corrupt_streams.Value();
+#endif
 
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     RunSchedule(server.port(), seed, /*rounds=*/16);
@@ -190,10 +191,12 @@ TEST(NetWireFuzz, ServerSurvivesSeededAttackSchedules) {
     EXPECT_EQ(client.last_ack().received_tuples, 2u);
   }
 
+#ifndef ASKETCH_NO_TELEMETRY
   // Garbage and oversized frames poison their streams; every poisoned
   // stream is a counted rejection.
   EXPECT_GT(metrics.frame_errors_total.Value(), errors_before);
   EXPECT_GT(metrics.corrupt_streams.Value(), corrupt_before);
+#endif
 }
 
 TEST(NetWireFuzz, SameSeedSameSchedule) {

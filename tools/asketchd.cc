@@ -1,7 +1,6 @@
 // asketchd — the sharded ASketch network server (docs/OPERATIONS.md).
 //
-//   asketchd [--port P] [--shards N] [--sketch countmin|salsa]
-//            [--bytes B] [--width W]
+//   asketchd [--port P] [--shards N] [--bytes B] [--width W]
 //            [--filter F] [--seed S] [--prefix PFX] [--retain R]
 //            [--recover] [--checkpoint-interval-ms MS]
 //            [--metrics-port MP] [--ingest-mode queue|delta]
@@ -16,6 +15,9 @@
 // generation before serving and fails hard when none validates. With
 // --metrics-port, the obs HTTP exporter serves /metrics, /metrics.json,
 // /stats, and /trace.json on a second loopback port.
+//
+// Every shard serves ASketch over Count-Min (net::ServingSketch), the
+// paper's configuration.
 //
 // Signals: SIGINT/SIGTERM stop gracefully (drain + final checkpoint);
 // SIGUSR1 cuts a checkpoint without stopping. Handlers only set flags;
@@ -53,8 +55,7 @@ void HandleCheckpointSignal(int) { g_checkpoint = 1; }
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: asketchd [--port P] [--shards N]\n"
-      "                [--sketch countmin|salsa] [--bytes B] [--width W]\n"
+      "usage: asketchd [--port P] [--shards N] [--bytes B] [--width W]\n"
       "                [--filter F] [--seed S]\n"
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
       "                [--ingest-mode queue|delta] [--queue-batches Q]\n"
@@ -68,8 +69,6 @@ int Usage() {
       "ephemeral)\n"
       "  --shards N          keyspace shards, one worker each (default "
       "4)\n"
-      "  --sketch BACKEND    per-shard sketch backend: countmin "
-      "(default) or salsa\n"
       "  --bytes B           per-shard synopsis budget (default "
       "131072)\n"
       "  --width W           sketch rows per shard (default 8)\n"
@@ -141,21 +140,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--shards") {
       if (!ParseU64(value(), &n) || n < 1 || n > 256) return Usage();
       options.shards.num_shards = static_cast<uint32_t>(n);
-    } else if (arg == "--sketch") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      if (std::strcmp(v, "countmin") == 0) {
-        options.shards.backend = net::SketchBackend::kCountMin;
-      } else if (std::strcmp(v, "salsa") == 0) {
-        options.shards.backend = net::SketchBackend::kSalsa;
-      } else {
-        return Usage();
-      }
     } else if (arg == "--bytes") {
       if (!ParseU64(value(), &n) || n < 1024) return Usage();
       options.shards.shard_config.total_bytes = n;
     } else if (arg == "--width") {
-      // Both backends stage one bucket per row in fixed 64-entry blocks
+      // Count-Min stages one bucket per row in fixed 64-entry blocks
       // (CountMinConfig::kMaxWidth); reject instead of silently clamping.
       if (!ParseU64(value(), &n) || n < 1 || n > 64) return Usage();
       options.shards.shard_config.width = static_cast<uint32_t>(n);

@@ -16,10 +16,8 @@
 # that get replayed anyway only over-count — which one-sided estimates
 # tolerate by construction (docs/PROTOCOL.md "Ack-based UPDATE replay").
 #
-# The whole flow runs once per sketch backend (--sketch countmin, then
-# --sketch salsa): fault tolerance must be backend-agnostic. The fault
-# schedule is fully determined by the chaosproxy flags + --seed, so a
-# failure replays exactly.
+# The fault schedule is fully determined by the chaosproxy flags +
+# --seed, so a failure replays exactly.
 #
 # usage: asketchd_chaos_smoke.sh <build_dir>
 set -u
@@ -61,14 +59,11 @@ start_server() {
 }
 
 run_smoke() {
-  local backend=$1
-  local dir="$WORK/$backend"
+  local dir="$WORK/run"
   mkdir -p "$dir"
   PREFIX="$dir/ckpt/serve"
   PAUSE="$dir/pause"
-  DAEMON_FLAGS=(--shards 4 --bytes 32768 --prefix "$PREFIX"
-                --sketch "$backend")
-  echo "--- backend: $backend ---"
+  DAEMON_FLAGS=(--shards 4 --bytes 32768 --prefix "$PREFIX")
 
   start_server "$dir/server1.log" --port 0
   echo "server up on port $PORT (pid $SERVER_PID)"
@@ -152,7 +147,6 @@ run_smoke() {
   SERVER_PID=""
 }
 
-run_smoke countmin
-run_smoke salsa
+run_smoke
 
-echo "PASS: kill -9 + --recover behind seeded chaos stays one-sided (both backends)"
+echo "PASS: kill -9 + --recover behind seeded chaos stays one-sided"

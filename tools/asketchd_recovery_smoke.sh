@@ -8,13 +8,13 @@
 # after the snapshot must be gone: durability is exactly the snapshot,
 # no more and no less.
 #
-# The whole flow runs once per (sketch backend × ingest mode) —
-# countmin/salsa × queue/delta: recovery must be agnostic to both the
-# backend and the ingest path, and delta mode's durability contract is
-# the same (the snapshot cut drains and flushes open deltas first).
-# One more countmin/queue run samples the tail (--sample-rate 0.25):
-# the sampler is ingest policy, not synopsis state, so a sampled
-# server's snapshot must recover just as bit-identically.
+# The whole flow runs once per ingest mode — queue, then delta:
+# recovery must be agnostic to the ingest path, and delta mode's
+# durability contract is the same (the snapshot cut drains and flushes
+# open deltas first). One more queue-mode run samples the tail
+# (--sample-rate 0.25): the sampler is ingest policy, not synopsis
+# state, so a sampled server's snapshot must recover just as
+# bit-identically.
 #
 # usage: asketchd_recovery_smoke.sh <build_dir>
 set -u
@@ -48,19 +48,16 @@ start_server() {
   fail "server never started listening: $(cat "$log")"
 }
 
-# run_smoke <backend> <ingest_mode> [sample_rate]
+# run_smoke <ingest_mode> [sample_rate]
 run_smoke() {
-  local backend=$1
-  local ingest_mode=$2
-  local sample_rate=${3:-1.0}
-  local dir="$WORK/$backend-$ingest_mode-$sample_rate"
+  local ingest_mode=$1
+  local sample_rate=${2:-1.0}
+  local dir="$WORK/$ingest_mode-$sample_rate"
   mkdir -p "$dir"
   PREFIX="$dir/ckpt/serve"
   DAEMON_FLAGS=(--port 0 --shards 4 --bytes 32768 --prefix "$PREFIX"
-                --sketch "$backend" --ingest-mode "$ingest_mode"
-                --sample-rate "$sample_rate")
-  echo "--- backend: $backend, ingest-mode: $ingest_mode," \
-       "sample-rate: $sample_rate ---"
+                --ingest-mode "$ingest_mode" --sample-rate "$sample_rate")
+  echo "--- ingest-mode: $ingest_mode, sample-rate: $sample_rate ---"
 
   start_server "$dir/server1.log"
   echo "server up on port $PORT (pid $SERVER_PID)"
@@ -105,10 +102,8 @@ run_smoke() {
   SERVER_PID=""
 }
 
-run_smoke countmin queue
-run_smoke countmin delta
-run_smoke salsa queue
-run_smoke salsa delta
-run_smoke countmin queue 0.25
+run_smoke queue
+run_smoke delta
+run_smoke queue 0.25
 
-echo "PASS: recovered serving state is bit-identical to the snapshot (both backends, both ingest modes, sampled queue mode)"
+echo "PASS: recovered serving state is bit-identical to the snapshot (both ingest modes, sampled queue mode)"
