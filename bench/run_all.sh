@@ -52,7 +52,7 @@ for bin in "$BUILD_DIR"/bench/bench_*; do
   cat "$OUT_DIR/$name.txt" >> "$SUMMARY"
   printf '\n' >> "$SUMMARY"
   # Benches that print machine-readable `key=value` lines (e.g.
-  # bench_delta_ingest's speedup_delta_vs_queue_8t=2.24 rows) get them
+  # bench_sampled_ingest's speedup_within_2x_are=1.90 row) get them
   # lifted into a "metrics" object so dashboards can read the numbers
   # without parsing the raw output.
   metrics=$(grep -ohE '^[a-z][a-z0-9_]*=[0-9.]+$' "$OUT_DIR/$name.txt" \

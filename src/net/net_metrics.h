@@ -41,12 +41,6 @@ struct NetMetrics {
                                          ///< unacked replay buffer
   obs::Counter& deadline_expired;    ///< client I/O waits that hit their
                                      ///< connect/read/write deadline
-  obs::Counter& delta_merges;        ///< DeltaBatches folded in by shard
-                                     ///< owners (ASketch::ApplyDelta calls)
-  obs::Counter& delta_flushed_tuples;  ///< tuples handed to the owners
-                                       ///< inside flushed DeltaBatches
-  obs::Counter& exit_flush_shed;     ///< weight shed while flushing a
-                                     ///< closing connection's deltas
   obs::Counter& replayed_tuples;     ///< tuples received in UPDATE frames
                                      ///< flagged as reconnect replays
   obs::Gauge& connections;           ///< currently open connections
@@ -54,7 +48,6 @@ struct NetMetrics {
   obs::Gauge& sample_rate_permille;  ///< configured tail sampling rate
                                      ///< (1000 = sampling off)
   obs::Histogram& request_ns;        ///< wall time of one non-UPDATE request
-  obs::Histogram& delta_merge_ns;    ///< wall time of one delta fold
   obs::Gauge& queue_depth_idle;      ///< constant-0 shard="none" placeholder
 
   static NetMetrics& Get() {
@@ -78,15 +71,11 @@ struct NetMetrics {
           r.GetCounter("asketch_net_client_retries_total"),
           r.GetCounter("asketch_net_client_replayed_tuples_total"),
           r.GetCounter("asketch_net_deadline_expired_total"),
-          r.GetCounter("asketch_net_delta_merges_total"),
-          r.GetCounter("asketch_net_delta_flushed_tuples_total"),
-          r.GetCounter("asketch_net_exit_flush_shed_total"),
           r.GetCounter("asketch_net_replayed_tuples_total"),
           r.GetGauge("asketch_net_connections"),
           r.GetGauge("asketch_net_degraded"),
           r.GetGauge("asketch_net_sample_rate_permille"),
           r.GetHistogram("asketch_net_request_ns"),
-          r.GetHistogram("asketch_net_delta_merge_ns"),
           r.GetGauge("asketch_net_shard_queue_depth", "shard=\"none\"")};
     }();
     return *metrics;

@@ -169,27 +169,7 @@ void Server::HandleConnection(int fd) {
   bool hello_done = false;
   uint64_t received = 0;
   uint64_t shed = 0;
-  DeltaIngestState delta_state = shards_.MakeDeltaState();
-  // Whatever path closes the connection, its unflushed delta tuples
-  // reach the shard queues — an UPDATE acknowledged on this connection
-  // is never stranded in a dead accumulator. No-op in queue mode.
-  // Weight shed by this final flush (overloaded queues degrading to
-  // kShed) is booked into the connection's shed total and the
-  // exit-flush counter: the connection is closing, so no ack will
-  // carry the number to the client, but the server-side ledger must
-  // still balance (OPERATIONS.md, asketch_net_exit_flush_shed_total).
-  struct FlushOnExit {
-    ShardSet& shards;
-    DeltaIngestState& state;
-    uint64_t& shed;
-    ~FlushOnExit() {
-      const uint64_t dropped = shards.FlushDeltas(state);
-      if (dropped != 0) {
-        shed += dropped;
-        NetMetrics::Get().exit_flush_shed.Add(dropped);
-      }
-    }
-  } flush_on_exit{shards_, delta_state, shed};
+  DeltaIngestState ingest_state = shards_.MakeDeltaState();
   std::vector<Tuple> update_scratch;
   std::vector<uint8_t> buffer(64 * 1024);
   auto last_activity = std::chrono::steady_clock::now();
@@ -200,7 +180,7 @@ void Server::HandleConnection(int fd) {
     decoder.Feed(buffer.data(), n);
     while (auto frame = decoder.Next()) {
       if (!HandleFrame(fd, *frame, hello_done, received, shed,
-                       delta_state, update_scratch)) {
+                       ingest_state, update_scratch)) {
         return false;
       }
     }
@@ -268,7 +248,7 @@ void Server::HandleConnection(int fd) {
 
 bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
                          uint64_t& received, uint64_t& shed,
-                         DeltaIngestState& delta_state,
+                         DeltaIngestState& ingest_state,
                          std::vector<Tuple>& update_scratch) {
   NetMetrics& metrics = NetMetrics::Get();
   metrics.frames_total.Add(1);
@@ -317,11 +297,9 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
       // batch must advance it exactly like a first transmission. Only
       // the global metric split distinguishes the two.
       received += update_scratch.size();
-      // In delta mode the tuples are absorbed into this connection's
-      // private accumulator; the ack means "owned by the server", and
-      // the flush points below (plus connection teardown) bound how
-      // long they can stay invisible to queries.
-      shed += shards_.Ingest(update_scratch, &delta_state);
+      // Combined and queued before the ack: an acked UPDATE is covered
+      // by the next SNAPSHOT/DIGEST barrier, with no flush.
+      shed += shards_.Ingest(update_scratch, &ingest_state);
       metrics.update_batches.Add(1);
       if (frame.is_replay()) {
         metrics.replayed_tuples.Add(update_scratch.size());
@@ -379,7 +357,6 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
     }
 
     case Opcode::kStats: {
-      shed += shards_.FlushDeltas(delta_state);
       WireStats stats = shards_.GetStats();
       if (store_ != nullptr) {
         stats.snapshot_generation = store_->LatestGeneration();
@@ -388,9 +365,6 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
     }
 
     case Opcode::kSnapshot: {
-      // Flush before the barrier: the cut must reflect every tuple
-      // this connection sent, exactly as in queue mode.
-      shed += shards_.FlushDeltas(delta_state);
       if (store_ == nullptr) {
         return fail(NetStatus::kSnapshotFailed, "persistence disabled");
       }
@@ -403,7 +377,6 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
     }
 
     case Opcode::kDigest: {
-      shed += shards_.FlushDeltas(delta_state);
       StateDigest digest;
       shards_.DigestState(&digest);
       if (store_ != nullptr) {

@@ -98,17 +98,15 @@ class Server {
   void AcceptLoop();
   void HandleConnection(int fd);
   /// Dispatches one decoded frame; returns false when the connection
-  /// must close. `hello_done`, `received`, `shed` and `delta_state`
-  /// are per-connection; under --ingest-mode delta the connection
-  /// thread is the decode thread that owns the delta accumulator, and
-  /// STATS/SNAPSHOT/DIGEST flush it so those barriers cover every
-  /// tuple this connection has sent. `update_scratch` is the
+  /// must close. `hello_done`, `received` and `shed` are
+  /// per-connection. `ingest_state` is the connection's reusable
+  /// combining scratch (ShardSet::Ingest). `update_scratch` is the
   /// connection's reusable UPDATE decode buffer: batches are parsed
   /// into it in place, so steady-state ingest does one allocation per
   /// high-water batch size instead of one per frame.
   bool HandleFrame(int fd, const Frame& frame, bool& hello_done,
                    uint64_t& received, uint64_t& shed,
-                   DeltaIngestState& delta_state,
+                   DeltaIngestState& ingest_state,
                    std::vector<Tuple>& update_scratch);
   void CheckpointLoop();
 

@@ -1,12 +1,12 @@
 #include "src/net/shard_set.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <utility>
 
 #include "src/common/crc32c.h"
 #include "src/net/net_metrics.h"
-#include "src/obs/core_metrics.h"
 #include "src/obs/metrics.h"
 
 namespace asketch {
@@ -24,21 +24,49 @@ uint64_t BatchWeight(std::span<const Tuple> tuples) {
 
 }  // namespace
 
-uint64_t DeltaIngestState::PendingTuples() const {
-  uint64_t pending = 0;
-  for (const auto& slot : per_shard_) {
-    if (slot.has_value()) pending += slot->tuple_count();
+void DeltaIngestState::Combiner::Add(item_t key, count_t weight) {
+  ++source_tuples;
+  if (weight == 0) return;
+  // Home slot: the high bits of a 64-bit Fibonacci product. ShardOf
+  // already used the low bits of the 32-bit one, so reusing that hash
+  // would pile one shard's keys onto a fraction of the slots. Claims
+  // stop short of a full table, so the probe always ends.
+  constexpr int kBits = std::countr_zero(kSlots);
+  uint32_t i = static_cast<uint32_t>(
+      (uint64_t{key} * 0x9e3779b97f4a7c15ull) >> (64 - kBits));
+  while (slots[i].index != 0 && slots[i].key != key) {
+    i = (i + 1) & (kSlots - 1);
   }
-  return pending;
+  Slot& slot = slots[i];
+  if (slot.index != 0) {
+    count_t& sum = tuples[slot.index - 1].value;
+    if (sum <= ~count_t{0} - weight) {
+      sum += weight;
+      return;
+    }
+    // Spill: the key sums into a new tuple from here on.
+  } else if (claimed.size() < kClaimLimit) {
+    slot.key = key;
+    claimed.push_back(static_cast<uint16_t>(i));
+  } else {
+    tuples.push_back(Tuple{key, weight});  // past the claim cap: raw
+    return;
+  }
+  tuples.push_back(Tuple{key, weight});
+  slot.index = static_cast<uint32_t>(tuples.size());
+}
+
+void DeltaIngestState::Combiner::Clear() {
+  for (const uint16_t i : claimed) slots[i].index = 0;
+  claimed.clear();
+  tuples.clear();
+  source_tuples = 0;
 }
 
 std::optional<std::string> ShardSetOptions::Validate() const {
   if (num_shards < 1) return std::string("num_shards must be >= 1");
   if (max_queue_batches < 1) {
     return std::string("max_queue_batches must be >= 1");
-  }
-  if (delta_flush_tuples < 1) {
-    return std::string("delta_flush_tuples must be >= 1");
   }
   if (!(sample_rate > 0.0) || sample_rate > 1.0) {
     return std::string("sample_rate must be in (0, 1]");
@@ -68,17 +96,14 @@ ShardSet::ShardSet(const ShardSetOptions& options)
   // The placeholder series keeps the family present before/after any
   // ShardSet instance is alive (same trick as the pipeline gauge).
   NetMetrics::Get();
-  // Tail sampling runs at one rate, fixed here. Queue mode samples in
-  // the shard owners, seeded per shard before the workers start so
-  // sampled runs are reproducible for a fixed config seed; delta mode
-  // arms each epoch's DeltaBatch instead (IngestDelta).
+  // Tail sampling runs at one rate, fixed here, in the shard owners;
+  // each is seeded before the workers start so sampled runs are
+  // reproducible for a fixed config seed.
   NetMetrics::Get().sample_rate_permille.Set(sample_permille_);
-  if (options.ingest_mode == IngestMode::kQueue) {
-    for (uint32_t i = 0; i < options.num_shards; ++i) {
-      shards_[i]->sketch.SetTailSampleRate(
-          options.sample_rate,
-          options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    }
+  for (uint32_t i = 0; i < options.num_shards; ++i) {
+    shards_[i]->sketch.SetTailSampleRate(
+        options.sample_rate,
+        options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
   }
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
@@ -133,31 +158,13 @@ void ShardSet::WorkerLoop(Shard& shard) {
 }
 
 uint64_t ShardSet::ApplyLocked(Shard& shard, WorkItem& item) {
-  const uint64_t applied = std::visit(
-      [&](auto& work) -> uint64_t {
-        using W = std::decay_t<decltype(work)>;
-        if constexpr (std::is_same_v<W, std::vector<Tuple>>) {
-          shard.sketch.UpdateBatch(work);
-          return work.size();
-        } else {
-          NetMetrics& metrics = NetMetrics::Get();
-          const auto start = std::chrono::steady_clock::now();
-          const auto error = shard.sketch.ApplyDelta(work);
-          ASKETCH_CHECK(!error.has_value());
-          metrics.delta_merge_ns.Record(static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - start)
-                  .count()));
-          metrics.delta_merges.Add(1);
-          return work.tuple_count();
-        }
-      },
-      item);
+  shard.sketch.UpdateBatch(item.tuples);
   // Release: a reader that observes this boundary via AppliedTuples()
   // is guaranteed to also observe the work it accounts for (the
   // concurrency tests' oracle bracketing).
-  shard.applied_tuples.fetch_add(applied, std::memory_order_release);
-  return applied;
+  shard.applied_tuples.fetch_add(item.source_tuples,
+                                 std::memory_order_release);
+  return item.source_tuples;
 }
 
 uint64_t ShardSet::Submit(Shard& shard, WorkItem item) {
@@ -193,37 +200,36 @@ uint64_t ShardSet::Submit(Shard& shard, WorkItem item) {
     metrics.inline_applied.Add(applied);
     return 0;
   }
-  const uint64_t weight = std::visit(
-      [](const auto& work) -> uint64_t {
-        using W = std::decay_t<decltype(work)>;
-        if constexpr (std::is_same_v<W, std::vector<Tuple>>) {
-          return BatchWeight(work);
-        } else {
-          return work.head_weight() + work.tail_weight();
-        }
-      },
-      item);
+  const uint64_t weight = BatchWeight(item.tuples);
   shed_weight_.fetch_add(weight, std::memory_order_relaxed);
   metrics.shed_weight.Add(weight);
   return weight;
 }
 
 uint64_t ShardSet::Ingest(std::span<const Tuple> tuples,
-                          DeltaIngestState* delta_state) {
-  if (options_.ingest_mode == IngestMode::kDelta &&
-      delta_state != nullptr) {
-    return IngestDelta(tuples, *delta_state);
-  }
+                          DeltaIngestState* state) {
   const uint32_t n = num_shards();
-  // Split by owning shard, preserving arrival order within each shard.
-  std::vector<std::vector<Tuple>> split(n);
+  DeltaIngestState local;
+  if (state == nullptr) {
+    local = MakeDeltaState();
+    state = &local;
+  }
+  ASKETCH_CHECK(state->per_shard_.size() == n);
+  auto& combiners = state->per_shard_;
   for (const Tuple& t : tuples) {
-    split[ShardOf(t.key, n)].push_back(t);
+    combiners[ShardOf(t.key, n)].Add(t.key, t.value);
   }
   uint64_t shed = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    if (split[i].empty()) continue;
-    shed += Submit(*shards_[i], WorkItem(std::move(split[i])));
+    DeltaIngestState::Combiner& combiner = combiners[i];
+    if (combiner.source_tuples == 0) continue;
+    // Copied out at its exact size: the scratch keeps its capacity for
+    // the next call, and the queue holds no slack.
+    WorkItem item{std::vector<Tuple>(combiner.tuples.begin(),
+                                     combiner.tuples.end()),
+                  combiner.source_tuples};
+    combiner.Clear();
+    shed += Submit(*shards_[i], std::move(item));
   }
   return shed;
 }
@@ -234,71 +240,7 @@ DeltaIngestState ShardSet::MakeDeltaState() const {
   return state;
 }
 
-uint64_t ShardSet::IngestDelta(std::span<const Tuple> tuples,
-                               DeltaIngestState& state) {
-  const uint32_t n = num_shards();
-  ASKETCH_CHECK(state.per_shard_.size() == n);
-  // Resolve each shard's delta once; per tuple the loop below is one
-  // multiplicative hash plus one open-addressed probe (plus a tail
-  // update for the miss minority).
-  std::vector<DeltaBatch<CountMin>*> deltas(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto& slot = state.per_shard_[i];
-    if (!slot.has_value()) {
-      // Open a fresh delta epoch: head snapshot taken lock-free from
-      // the live filter, tail sketch built from the shard's config.
-      slot.emplace(shards_[i]->sketch.MakeDeltaBatch());
-      // Each epoch gets a distinct sampler seed so concurrent decode
-      // threads do not skip in lockstep.
-      if (sample_permille_ < 1000) {
-        slot->SetTailSampleRate(
-            options_.sample_rate,
-            options_.shard_config.seed ^
-                (0x9e3779b97f4a7c15ull *
-                 sampler_seq_.fetch_add(1, std::memory_order_relaxed)));
-      }
-    }
-    deltas[i] = &*slot;
-  }
-  for (const Tuple& t : tuples) {
-    deltas[ShardOf(t.key, n)]->Add(t.key, t.value);
-  }
-  uint64_t shed = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (deltas[i]->tuple_count() >= options_.delta_flush_tuples) {
-      shed += FlushShardDelta(i, state);
-    }
-  }
-  return shed;
-}
-
-uint64_t ShardSet::FlushShardDelta(uint32_t index,
-                                   DeltaIngestState& state) {
-  auto& slot = state.per_shard_[index];
-  if (!slot.has_value()) return 0;
-  if (slot->Empty()) {
-    slot.reset();
-    return 0;
-  }
-  NetMetrics::Get().delta_flushed_tuples.Add(slot->tuple_count());
-  const uint64_t skips = slot->sampled_skips();
-  // The same counter queue mode's owners book their skips into, so one
-  // family reads the elided tail tuples whichever mode is running.
-  if (skips != 0) obs::IngestMetrics::Get().sampled_skips.Add(skips);
-  WorkItem item(std::move(*slot));
-  slot.reset();
-  return Submit(*shards_[index], std::move(item));
-}
-
-uint64_t ShardSet::FlushDeltas(DeltaIngestState& state) {
-  if (state.per_shard_.empty()) return 0;
-  ASKETCH_CHECK(state.per_shard_.size() == num_shards());
-  uint64_t shed = 0;
-  for (uint32_t i = 0; i < num_shards(); ++i) {
-    shed += FlushShardDelta(i, state);
-  }
-  return shed;
-}
+uint64_t ShardSet::FlushDeltas(DeltaIngestState&) { return 0; }
 
 void ShardSet::Drain() {
   for (auto& shard : shards_) {
@@ -359,12 +301,6 @@ void ShardSet::EstimateBatch(std::span<const item_t> keys,
     }
   }
   RecordLocklessRead(keys.size(), retries);
-}
-
-count_t ShardSet::EstimateMutexBaseline(item_t key) const {
-  const Shard& shard = *shards_[ShardOf(key, num_shards())];
-  std::lock_guard<std::mutex> guard(shard.mu);
-  return shard.sketch.Estimate(key);
 }
 
 std::vector<TopKEntry> ShardSet::TopK(uint32_t k) const {

@@ -4,44 +4,38 @@
 // queries route to exactly one shard and the merged TOPK report is the
 // exact union of the per-shard reports (no cross-shard double counting).
 //
-// Ingest is asynchronous: UPDATE batches are split by shard and pushed
-// onto bounded per-shard queues drained by one worker thread each via
-// ASketch::UpdateBatch. When a queue stays full past the bounded wait,
-// the pipeline overload policy applies (reusing OverloadPolicy from
-// pipeline_asketch.h): kInlineApply applies the sub-batch on the caller
-// thread under the shard mutex (one-sided guarantee intact, caller pays
-// the cycles), kShed drops it and accounts the weight. Both paths are
-// reported through NetMetrics and WireStats.
+// Ingest has one path (docs/ARCHITECTURE.md). The calling thread — in
+// asketchd, a connection's decode thread — splits each Ingest call's
+// tuples by owning shard and sums duplicate keys within the call in a
+// small per-shard combining table: the paper's early-aggregation
+// filter stage (§6, Fig. 12) run on the decode thread. Each shard's
+// combined tuples, in first-occurrence order, go onto that shard's
+// bounded queue as one work item; the shard's single owner worker
+// applies it with ASketch::UpdateBatch, so a hot key costs the owner
+// one filter hit per call instead of one per arrival, and every
+// remaining miss still goes through the batched prefetch kernel. When
+// a queue stays full past the bounded wait, the pipeline overload
+// policy applies (reusing OverloadPolicy from pipeline_asketch.h):
+// kInlineApply applies the work item on the caller thread under the
+// shard mutex (one-sided guarantee intact, caller pays the cycles),
+// kShed drops it and accounts the weight. Both paths are reported
+// through NetMetrics and WireStats.
 //
-// Two ingest modes share those queues (docs/ARCHITECTURE.md):
+// Because keys combine per call, the applied state depends on Ingest
+// call boundaries: a combined key runs Algorithm 1 once with its
+// aggregate, so exchange timing can differ from a per-tuple replay.
+// Mass conservation, exact filter counts and one-sidedness hold
+// regardless, and under a stable head with plain Count-Min every
+// estimate equals serial UpdateBatch (ALGORITHMS.md §7).
 //
-//   kQueue — raw tuple sub-batches queue per shard; the owner worker
-//   replays them through ASketch::UpdateBatch, so the applied state is
-//   bit-identical to per-tuple serial ingest in arrival order.
-//
-//   kDelta — each decode thread accumulates its tuples into private
-//   per-shard DeltaBatches (exact head table + tail sketch, see
-//   src/core/delta_batch.h) held in a caller-owned DeltaIngestState.
-//   When a shard's delta reaches delta_flush_tuples the whole delta is
-//   queued as one work item and the owner folds it in with
-//   ASketch::ApplyDelta. The single-writer seqlock invariant holds by
-//   construction — decode threads never touch shard state — and the
-//   per-tuple hot path shrinks to a private table probe or tail-sketch
-//   update with no locks, condition variables, or seqlock sections.
-//
-// Either mode can sample the tail at a rate fixed at construction
-// (ShardSetOptions::sample_rate, ALGORITHMS.md §8): queue mode in the
-// shard owners, delta mode in each epoch's DeltaBatch. The head stays
-// exact in both, and both count their skips in one metric family.
+// Tail sampling runs at a rate fixed at construction
+// (ShardSetOptions::sample_rate, ALGORITHMS.md §8) in the shard owners'
+// miss path; the filter head stays exact.
 //
 // Queries read the *applied* state: tuples still queued are not yet
 // visible. SNAPSHOT and DIGEST therefore drain all queues first, making
-// them barriers — every tuple enqueued before the call is reflected in
-// the cut. In delta mode a tuple enters the queue only when its delta
-// is flushed, so the barrier covers flushed deltas; callers that need a
-// tuple in the next cut must FlushDeltas their state first (the server
-// flushes a connection's deltas before STATS/SNAPSHOT/DIGEST and at
-// connection teardown).
+// them barriers. Nothing outlives an Ingest call, so every tuple whose
+// Ingest returned before the barrier is reflected in the cut.
 //
 // Reads are contention-free: Estimate/EstimateBatch/TopK never take
 // shard.mu. Point and top-k lookups run against the filter's
@@ -71,7 +65,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "src/common/snapshot.h"
@@ -103,27 +96,48 @@ inline uint32_t ShardOf(item_t key, uint32_t num_shards) {
   return (key * 2654435761u) % num_shards;
 }
 
-/// How UPDATE traffic reaches a shard's owner thread (file comment).
+/// Accepted for compatibility; both values select the one ingest path
+/// (file comment). perfbench/ still sets it.
 enum class IngestMode {
-  kQueue,  ///< raw tuple batches, replayed serially by the owner
-  kDelta,  ///< caller-built DeltaBatches, folded in via ApplyDelta
+  kQueue,
+  kDelta,
 };
 
-/// A decode thread's private delta accumulator, one slot per shard.
-/// Obtained from ShardSet::MakeDeltaState and passed back to Ingest /
-/// FlushDeltas by the same thread; never shared between threads without
-/// external synchronization (the whole point is that it needs none).
+/// A decode thread's reusable ingest scratch: one combining table per
+/// shard. Obtained from ShardSet::MakeDeltaState and passed back to
+/// Ingest by the same thread; never shared between threads. Nothing in
+/// it outlives an Ingest call, so dropping it loses no tuples.
 class DeltaIngestState {
- public:
-  DeltaIngestState() = default;
-
-  /// Tuples accumulated but not yet flushed to the shard queues.
-  uint64_t PendingTuples() const;
-
  private:
   friend class ShardSet;
 
-  std::vector<std::optional<DeltaBatch<CountMin>>> per_shard_;
+  /// Sums duplicate keys of one call's tuples for one shard, in the
+  /// shape of DeltaBatch's head table: open-addressed, kSlots slots,
+  /// first-touch claims stop at 5/8 load so miss probes stay short.
+  /// Keys past the claim cap pass through raw.
+  struct Combiner {
+    static constexpr uint32_t kSlots = 1024;
+    static constexpr uint32_t kClaimLimit = kSlots / 8 * 5;
+
+    struct Slot {
+      item_t key = 0;
+      uint32_t index = 0;  ///< 1 + position in `tuples`; 0 = free
+    };
+
+    /// Adds `weight` to `key`'s combined tuple. An aggregate that would
+    /// pass count_t's maximum starts a new tuple instead, so no weight
+    /// is lost to saturation. Zero weights are counted, not stored.
+    void Add(item_t key, count_t weight);
+    /// Empties `tuples` and frees only the claimed slots.
+    void Clear();
+
+    std::vector<Slot> slots = std::vector<Slot>(kSlots);
+    std::vector<uint16_t> claimed;  ///< indices of used slots
+    std::vector<Tuple> tuples;      ///< combined, first-occurrence order
+    uint64_t source_tuples = 0;     ///< tuples Add()ed since Clear()
+  };
+
+  std::vector<Combiner> per_shard_;
 };
 
 struct ShardSetOptions {
@@ -134,26 +148,19 @@ struct ShardSetOptions {
   /// How long Ingest waits on a full queue before degrading.
   uint32_t max_enqueue_wait_ms = 100;
   OverloadPolicy overload = OverloadPolicy::kInlineApply;
-  /// Queue mode until delta-mode parity is proven in production
-  /// (`asketchd --ingest-mode`); both modes pass the same equivalence,
-  /// concurrency, and recovery suites.
+  /// Accepted and ignored (IngestMode). perfbench/ still sets it.
   IngestMode ingest_mode = IngestMode::kQueue;
-  /// Delta epoch length: a shard's delta is flushed to the owner once
-  /// it has absorbed this many tuples. Larger epochs amortize the dense
-  /// sketch merge over more tuples; smaller epochs shorten the window
-  /// in which a delta's tuples are invisible to queries (the server
-  /// flushes a connection's deltas before answering its STATS/SNAPSHOT/
-  /// DIGEST, so a connection always reads its own writes regardless).
+  /// Read by nothing in the server; perfbench/ takes its default as
+  /// the epoch length of its in-process DeltaBatch layer.
   uint32_t delta_flush_tuples = 32768;
   /// Tail sampling rate (NitroSketch-style, ALGORITHMS.md §8): each
   /// tail-sketch update is applied with this probability and scaled by
-  /// its inverse. Head keys (exact filter / delta head table) are never
-  /// sampled. 1.0 (the default) is bit-identical to unsampled ingest;
-  /// below 1.0 tail estimates are unbiased but no longer one-sided.
-  /// In (0, 1], fixed for the set's lifetime and exported as
-  /// asketch_net_sample_rate_permille. Queue mode samples in the shard
-  /// owner's MissPositive; delta mode samples in the decode threads'
-  /// DeltaBatch tail path. Skips count into asketch_sampled_skips_total.
+  /// its inverse. Filter hits are never sampled. 1.0 (the default) is
+  /// bit-identical to unsampled ingest; below 1.0 tail estimates are
+  /// unbiased but no longer one-sided. In (0, 1], fixed for the set's
+  /// lifetime and exported as asketch_net_sample_rate_permille. The
+  /// shard owners sample in MissPositive; skips count into
+  /// asketch_sampled_skips_total.
   double sample_rate = 1.0;
 
   std::optional<std::string> Validate() const;
@@ -171,24 +178,20 @@ class ShardSet {
     return static_cast<uint32_t>(shards_.size());
   }
 
-  /// Splits `tuples` by shard and enqueues per-shard sub-batches. Blocks
-  /// at most max_enqueue_wait_ms per full queue, then degrades per the
+  /// Splits `tuples` by shard, combines duplicate keys within the call,
+  /// and enqueues one work item per shard (file comment). Blocks at
+  /// most max_enqueue_wait_ms per full queue, then degrades per the
   /// overload policy. Returns the weight shed (0 under kInlineApply).
-  ///
-  /// Under IngestMode::kDelta with a non-null `delta_state`, tuples are
-  /// instead absorbed into the caller's private per-shard deltas; only
-  /// shards whose delta crossed delta_flush_tuples touch the queues.
-  /// With a null `delta_state` the queue path is used regardless of
-  /// mode (warm-up / oracle traffic in tests relies on this).
+  /// `state` is the caller's reusable scratch; null uses call-local
+  /// scratch.
   uint64_t Ingest(std::span<const Tuple> tuples,
-                  DeltaIngestState* delta_state = nullptr);
+                  DeltaIngestState* state = nullptr);
 
-  /// A delta accumulator sized for this set; see DeltaIngestState.
+  /// Reusable scratch sized for this set; see DeltaIngestState.
   DeltaIngestState MakeDeltaState() const;
 
-  /// Flushes every non-empty delta in `state` to its shard queue (same
-  /// bounded-wait + overload discipline as Ingest). Returns the weight
-  /// shed. After this returns, a Drain() barrier covers the tuples.
+  /// A no-op that returns 0: Ingest leaves nothing pending. perfbench/
+  /// still calls it.
   uint64_t FlushDeltas(DeltaIngestState& state);
 
   /// Blocks until every queued batch has been applied and all workers
@@ -206,12 +209,6 @@ class ShardSet {
   void EstimateBatch(std::span<const item_t> keys,
                      std::vector<uint64_t>* estimates) const;
 
-  /// Mutex-baseline point query: the pre-seqlock read path (take
-  /// shard.mu, query under the lock), kept for the read-concurrency
-  /// bench so the contention win stays measurable against the real
-  /// implementation (bench/bench_net_read_concurrency.cc).
-  count_t EstimateMutexBaseline(item_t key) const;
-
   /// Merged heavy-hitter report: per-shard filter contents, globally
   /// sorted by descending estimate, truncated to `k`. Exact union —
   /// shards partition the keyspace. Lock-free like Estimate; each
@@ -219,8 +216,8 @@ class ShardSet {
   std::vector<TopKEntry> TopK(uint32_t k) const;
 
   /// Tuples applied so far by `shard` (worker + inline applies). Only
-  /// advances after a whole sub-batch is applied, so the value is always
-  /// a sub-batch boundary — the prefix-cut handle the concurrency tests
+  /// advances after a whole work item is applied, so the value is always
+  /// a work-item boundary — the prefix-cut handle the concurrency tests
   /// bracket their oracle checks with.
   uint64_t AppliedTuples(uint32_t shard) const;
 
@@ -262,9 +259,12 @@ class ShardSet {
   void StallWorkersForTesting(bool stalled);
 
  private:
-  /// One unit of owner-thread work: a raw tuple sub-batch (queue mode)
-  /// or a whole decode-thread delta (delta mode).
-  using WorkItem = std::variant<std::vector<Tuple>, DeltaBatch<CountMin>>;
+  /// One unit of owner-thread work: one Ingest call's combined tuples
+  /// for a shard, and how many source tuples they stand for.
+  struct WorkItem {
+    std::vector<Tuple> tuples;
+    uint64_t source_tuples = 0;
+  };
 
   struct Shard {
     /// Serializes the *writers* of sketch + applied_tuples (worker
@@ -294,11 +294,6 @@ class ShardSet {
   /// Bounded-wait enqueue of `item`, degrading per the overload policy
   /// when the wait expires. Returns the weight shed (0 unless kShed).
   uint64_t Submit(Shard& shard, WorkItem item);
-  /// Delta-mode Ingest body: absorb into `state`, flush full epochs.
-  uint64_t IngestDelta(std::span<const Tuple> tuples,
-                       DeltaIngestState& state);
-  /// Flushes shard `index`'s delta from `state` if it is non-empty.
-  uint64_t FlushShardDelta(uint32_t index, DeltaIngestState& state);
   /// Writes the SerializeState payload of all shards to `writer`;
   /// caller must hold every shard.mu. False if a write failed.
   bool WriteLocked(BinaryWriter& writer) const;
@@ -319,10 +314,8 @@ class ShardSet {
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> shed_weight_{0};
   std::atomic<uint64_t> inline_applied_{0};
-  /// Tail sampling rate in permille (1000 = off), and the sequence
-  /// that gives each delta epoch a distinct sampler seed.
+  /// Tail sampling rate in permille (1000 = off).
   const uint32_t sample_permille_;
-  std::atomic<uint64_t> sampler_seq_{1};
   std::vector<uint64_t> gauge_ids_;
 };
 

@@ -178,14 +178,27 @@ TEST(NetServer, GarbageStreamDropsConnectionButServerSurvives) {
 // identically configured in-process oracle fed the same stream must end
 // bit-identical (equal serialized digests), with equal estimates and
 // TOPK reports.
+/// Ingests `tuples` in the 1000-tuple slices the tests' clients send as
+/// UPDATE frames, so an in-process oracle sees the server's call
+/// boundaries.
+void IngestInSlices(ShardSet& shards, const std::vector<Tuple>& tuples) {
+  for (size_t offset = 0; offset < tuples.size(); offset += 1000) {
+    const size_t n = std::min<size_t>(1000, tuples.size() - offset);
+    shards.Ingest(std::span<const Tuple>(tuples.data() + offset, n));
+  }
+}
+
 TEST(NetServer, SingleClientMatchesInProcessOracle) {
   const ServerOptions options = SmallServer();
   Server server(options);
   ASSERT_EQ(server.Start(), std::nullopt);
   ShardSet oracle(options.shards);
 
+  // The applied state depends on Ingest call boundaries (per-call key
+  // combining), so the oracle ingests the same 1000-tuple slices the
+  // client sends as UPDATE frames.
   const auto tuples = TestStream(50'000);
-  oracle.Ingest(tuples);
+  IngestInSlices(oracle, tuples);
   oracle.Drain();
 
   Client client;
@@ -274,16 +287,10 @@ TEST(NetServer, WireDigestMatchesSerializedPayloadAndOracle) {
       ExpectWireDigestMatchesSerializedPayload(options, tuples);
 
   ShardSet oracle(options.shards);
-  oracle.Ingest(tuples);
+  IngestInSlices(oracle, tuples);
   StateDigest oracle_digest;
   oracle.SerializeState(&oracle_digest);
   EXPECT_EQ(wire.digest, oracle_digest.digest);
-}
-
-TEST(NetServer, DeltaModeWireDigestMatchesSerializedPayload) {
-  ServerOptions options = MultiMiBServer();
-  options.shards.ingest_mode = IngestMode::kDelta;
-  ExpectWireDigestMatchesSerializedPayload(options, TestStream(200'000));
 }
 
 // Concurrent clients: total ingested tuples are conserved and every

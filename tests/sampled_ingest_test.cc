@@ -6,9 +6,9 @@
 // and rate 1.0 is bit-identical to the unsampled path — the sampler
 // is inert at permille 1000, so enabling the flag at rate 1.0 cannot
 // perturb a single serialized byte for either backend. Also covers
-// the delta-mode accounting invariants: tail_weight() books true
+// the DeltaBatch accounting invariants: tail_weight() books true
 // (unscaled) mass and sampled_skips() counts the elisions, and the same
-// laws end to end through a ShardSet in both ingest modes.
+// laws end to end through a ShardSet's ingest path.
 
 #include <algorithm>
 #include <cstdint>
@@ -279,19 +279,17 @@ TEST(SampledIngestTest, DeltaBatchRateOneLeavesPathUntouched) {
 }
 
 // ---------------------------------------------------------------------
-// ShardSet end to end, both ingest modes: queue mode samples in the
-// shard owners, delta mode in each epoch's DeltaBatch. Whichever runs,
-// the head stays exact, the N1/N2 ledgers book the true mass, and the
+// ShardSet end to end: the shard owners sample their miss path, the
+// head stays exact, the N1/N2 ledgers book the true mass, and the
 // skips land in the one core counter.
 // ---------------------------------------------------------------------
 
 constexpr uint32_t kShards = 2;
 constexpr uint32_t kShardHeadKeys = kShards * kFilterItems;
 
-net::ShardSetOptions ShardOptions(net::IngestMode mode) {
+net::ShardSetOptions ShardOptions() {
   net::ShardSetOptions options;
   options.num_shards = kShards;
-  options.ingest_mode = mode;
   options.shard_config = SmallConfig();
   return options;
 }
@@ -307,9 +305,8 @@ std::vector<Tuple> ShardWarmup() {
   return tuples;
 }
 
-/// Warm-up through the queue path (null delta state, so no sampling in
-/// either mode and the heads fill first), then `payload` through the
-/// mode's own path, then a barrier.
+/// Warm-up first (it lands in the filters' free slots, which are never
+/// sampled), then `payload` in 1000-tuple Ingest calls, then a barrier.
 void IngestThroughShardSet(net::ShardSet& shards,
                            const std::vector<Tuple>& payload) {
   shards.Ingest(ShardWarmup());
@@ -320,7 +317,6 @@ void IngestThroughShardSet(net::ShardSet& shards,
     shards.Ingest(std::span<const Tuple>(payload.data() + begin, count),
                   &state);
   }
-  shards.FlushDeltas(state);
   shards.Drain();
 }
 
@@ -330,11 +326,8 @@ uint64_t SampledSkipsTotal() {
       .Value();
 }
 
-class ShardSetSampledIngestTest
-    : public ::testing::TestWithParam<net::IngestMode> {};
-
-TEST_P(ShardSetSampledIngestTest, HeadExactMassConservedSkipsCounted) {
-  net::ShardSetOptions options = ShardOptions(GetParam());
+TEST(ShardSetSampledIngestTest, HeadExactMassConservedSkipsCounted) {
+  net::ShardSetOptions options = ShardOptions();
   options.sample_rate = 0.1;
   net::ShardSet shards(options);
   const std::vector<Tuple> payload = MixedStream(71, kShardHeadKeys);
@@ -360,17 +353,17 @@ TEST_P(ShardSetSampledIngestTest, HeadExactMassConservedSkipsCounted) {
   }
 #ifndef ASKETCH_NO_TELEMETRY
   EXPECT_GT(SampledSkipsTotal(), skips_before)
-      << "skips must reach asketch_sampled_skips_total in either mode";
+      << "skips must reach asketch_sampled_skips_total";
 #else
   (void)skips_before;
 #endif
 }
 
-TEST_P(ShardSetSampledIngestTest, RateOneDigestMatchesDefaultOptions) {
-  net::ShardSetOptions exact = ShardOptions(GetParam());
+TEST(ShardSetSampledIngestTest, RateOneDigestMatchesDefaultOptions) {
+  net::ShardSetOptions exact = ShardOptions();
   exact.sample_rate = 1.0;
   net::ShardSet sampled(exact);
-  net::ShardSet plain(ShardOptions(GetParam()));
+  net::ShardSet plain(ShardOptions());
   const std::vector<Tuple> payload = MixedStream(73, kShardHeadKeys);
   IngestThroughShardSet(sampled, payload);
   IngestThroughShardSet(plain, payload);
@@ -381,13 +374,6 @@ TEST_P(ShardSetSampledIngestTest, RateOneDigestMatchesDefaultOptions) {
   EXPECT_EQ(sampled_digest.ingested, plain_digest.ingested);
   EXPECT_EQ(sampled_digest.digest, plain_digest.digest);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothIngestModes, ShardSetSampledIngestTest,
-    ::testing::Values(net::IngestMode::kQueue, net::IngestMode::kDelta),
-    [](const ::testing::TestParamInfo<net::IngestMode>& info) {
-      return info.param == net::IngestMode::kQueue ? "Queue" : "Delta";
-    });
 
 }  // namespace
 }  // namespace asketch

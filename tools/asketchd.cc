@@ -4,8 +4,8 @@
 //            [--filter F] [--seed S] [--prefix PFX] [--retain R]
 //            [--recover] [--checkpoint-interval-ms MS]
 //            [--metrics-port MP] [--ingest-mode queue|delta]
-//            [--queue-batches Q] [--delta-flush-tuples T]
-//            [--overload inline|shed] [--sample-rate R]
+//            [--queue-batches Q] [--overload inline|shed]
+//            [--sample-rate R]
 //            [--max-connections C] [--idle-timeout-ms MS]
 //
 // Binds 127.0.0.1:P (0 = ephemeral) and announces the bound port on
@@ -59,8 +59,7 @@ int Usage() {
       "                [--filter F] [--seed S]\n"
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
       "                [--ingest-mode queue|delta] [--queue-batches Q]\n"
-      "                [--delta-flush-tuples T] [--overload inline|shed]\n"
-      "                [--sample-rate R]\n"
+      "                [--overload inline|shed] [--sample-rate R]\n"
       "                [--prefix PFX] [--retain R] [--recover]\n"
       "                [--checkpoint-interval-ms MS] [--metrics-port MP]\n"
       "\n"
@@ -79,13 +78,10 @@ int Usage() {
       "                      (default 0 = never; slow-loris defense)\n"
       "\n"
       "ingest:\n"
-      "  --ingest-mode MODE  queue (default; serial per-tuple replay)\n"
-      "                      or delta (per-connection delta sketches\n"
-      "                      merged at epoch boundaries)\n"
+      "  --ingest-mode MODE  queue or delta; both select the one ingest\n"
+      "                      path (per-UPDATE key combining)\n"
       "  --queue-batches Q   bounded per-shard queue length (default "
       "64)\n"
-      "  --delta-flush-tuples T  delta epoch length in tuples "
-      "(default %u)\n"
       "  --overload POLICY   inline (default) or shed\n"
       "  --sample-rate R     tail-update sampling rate in (0, 1]\n"
       "                      (default 1.0 = every update; below 1.0 the\n"
@@ -103,8 +99,7 @@ int Usage() {
       "\n"
       "telemetry:\n"
       "  --metrics-port MP   telemetry HTTP port (default: exporter "
-      "off)\n",
-      net::ShardSetOptions{}.delta_flush_tuples);
+      "off)\n");
   return 2;
 }
 
@@ -173,18 +168,13 @@ int main(int argc, char** argv) {
       if (!ParseU64(value(), &n) || n < 1) return Usage();
       options.shards.max_queue_batches = n;
     } else if (arg == "--ingest-mode") {
+      // Both values select the one ingest path; the flag still parses
+      // so existing command lines (perfbench/e2e.cc's) keep working.
       const char* v = value();
-      if (v == nullptr) return Usage();
-      if (std::strcmp(v, "queue") == 0) {
-        options.shards.ingest_mode = net::IngestMode::kQueue;
-      } else if (std::strcmp(v, "delta") == 0) {
-        options.shards.ingest_mode = net::IngestMode::kDelta;
-      } else {
+      if (v == nullptr ||
+          (std::strcmp(v, "queue") != 0 && std::strcmp(v, "delta") != 0)) {
         return Usage();
       }
-    } else if (arg == "--delta-flush-tuples") {
-      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
-      options.shards.delta_flush_tuples = static_cast<uint32_t>(n);
     } else if (arg == "--sample-rate") {
       const char* v = value();
       if (v == nullptr || *v == '\0') return Usage();
