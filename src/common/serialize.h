@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/crc32c.h"
@@ -93,6 +94,8 @@ class BinaryWriter {
   /// False once any write failed (FILE* mode only).
   bool ok() const { return ok_; }
   const std::vector<uint8_t>& buffer() const { return buffer_; }
+  /// Moves the in-memory buffer out, leaving the writer empty.
+  std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }
   /// CRC32C of every byte written so far (ChecksumOnly mode only).
   uint32_t checksum() const { return Crc32cFinish(crc_state_); }
 

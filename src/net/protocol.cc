@@ -1,7 +1,9 @@
 #include "src/net/protocol.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 
 #include "src/common/serialize.h"
 
@@ -46,17 +48,28 @@ std::optional<uint32_t> NegotiateVersion(uint32_t server_min,
   return high;
 }
 
+namespace {
+
+/// Writes a frame header announcing `payload_bytes` of payload; the
+/// caller appends exactly that many bytes.
+void PutFrameHeader(BinaryWriter& writer, Opcode opcode, uint8_t flags,
+                    NetStatus status, size_t payload_bytes) {
+  writer.PutU32(static_cast<uint32_t>(4 + payload_bytes));
+  writer.PutU8(static_cast<uint8_t>(opcode));
+  writer.PutU8(flags);
+  writer.PutBytes(&status, sizeof(uint16_t));
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeFrame(Opcode opcode, uint8_t flags,
                                  NetStatus status,
                                  std::span<const uint8_t> payload) {
   BinaryWriter writer;
   writer.Reserve(kFrameHeaderBytes + payload.size());
-  writer.PutU32(static_cast<uint32_t>(4 + payload.size()));
-  writer.PutU8(static_cast<uint8_t>(opcode));
-  writer.PutU8(flags);
-  writer.PutBytes(&status, sizeof(uint16_t));
+  PutFrameHeader(writer, opcode, flags, status, payload.size());
   writer.PutBytes(payload.data(), payload.size());
-  return writer.buffer();
+  return writer.TakeBuffer();
 }
 
 void FrameDecoder::Feed(const void* data, size_t size) {
@@ -72,28 +85,33 @@ void FrameDecoder::Feed(const void* data, size_t size) {
   buffer_.insert(buffer_.end(), bytes, bytes + size);
 }
 
-std::optional<Frame> FrameDecoder::Next() {
-  if (corrupt_) return std::nullopt;
+bool FrameDecoder::Next(Frame* frame) {
+  if (corrupt_) return false;
   const size_t available = buffer_.size() - consumed_;
-  if (available < sizeof(uint32_t)) return std::nullopt;
+  if (available < sizeof(uint32_t)) return false;
   uint32_t length = 0;
   std::memcpy(&length, buffer_.data() + consumed_, sizeof(length));
   // length counts the opcode/flags/status header tail plus the payload;
   // anything below that minimum or beyond the cap is a lying prefix.
   if (length < 4 || length > 4 + kMaxFramePayloadBytes) {
     corrupt_ = true;
-    return std::nullopt;
+    return false;
   }
-  if (available < sizeof(uint32_t) + length) return std::nullopt;
+  if (available < sizeof(uint32_t) + length) return false;
   const uint8_t* body = buffer_.data() + consumed_ + sizeof(uint32_t);
-  Frame frame;
-  frame.opcode = static_cast<Opcode>(body[0]);
-  frame.flags = body[1];
+  frame->opcode = static_cast<Opcode>(body[0]);
+  frame->flags = body[1];
   uint16_t status = 0;
   std::memcpy(&status, body + 2, sizeof(status));
-  frame.status = static_cast<NetStatus>(status);
-  frame.payload.assign(body + 4, body + length);
+  frame->status = static_cast<NetStatus>(status);
+  frame->payload.assign(body + 4, body + length);
   consumed_ += sizeof(uint32_t) + length;
+  return true;
+}
+
+std::optional<Frame> FrameDecoder::Next() {
+  Frame frame;
+  if (!Next(&frame)) return std::nullopt;
   return frame;
 }
 
@@ -141,33 +159,47 @@ std::vector<uint8_t> EncodeVersionMismatch(uint32_t server_min,
 
 // -- UPDATE -------------------------------------------------------------
 
+// The tuple block is the in-memory Tuple array: BinaryWriter and
+// BinaryReader move host-order bytes, so one bulk copy writes and reads
+// exactly the bytes a per-field PutU32/GetU32 pair would.
+static_assert(std::is_trivially_copyable_v<Tuple>);
+static_assert(sizeof(Tuple) == 8 && offsetof(Tuple, key) == 0 &&
+              offsetof(Tuple, value) == 4);
+
 std::vector<uint8_t> EncodeUpdateRequest(std::span<const Tuple> tuples,
                                          bool want_ack, bool replay) {
-  BinaryWriter writer;
-  writer.Reserve(4 + tuples.size() * 8);
-  writer.PutU32(static_cast<uint32_t>(tuples.size()));
-  for (const Tuple& t : tuples) {
-    writer.PutU32(t.key);
-    writer.PutU32(t.value);
-  }
   uint8_t flags = want_ack ? kFlagWantAck : uint8_t{0};
   if (replay) flags |= kFlagReplay;
-  return FrameFromWriter(Opcode::kUpdate, flags, NetStatus::kOk, writer);
+  // Header and payload go into one buffer: the largest frames a client
+  // sends are these, so they skip EncodeFrame's payload copy.
+  const size_t block = tuples.size() * sizeof(Tuple);
+  BinaryWriter writer;
+  writer.Reserve(kFrameHeaderBytes + 4 + block);
+  PutFrameHeader(writer, Opcode::kUpdate, flags, NetStatus::kOk, 4 + block);
+  writer.PutU32(static_cast<uint32_t>(tuples.size()));
+  writer.PutBytes(tuples.data(), block);
+  return writer.TakeBuffer();
 }
 
 bool ParseUpdateRequest(std::span<const uint8_t> payload,
                         std::vector<Tuple>* out) {
-  out->clear();
-  BinaryReader reader(payload.data(), payload.size());
   uint32_t count = 0;
-  if (!reader.GetU32(&count)) return false;
+  if (payload.size() >= sizeof(count)) {
+    std::memcpy(&count, payload.data(), sizeof(count));
+  }
   // Cap before allocating, then cross-check the declared count against
-  // the bytes actually present (8 bytes per tuple, no trailing garbage).
-  if (count > kMaxBatchTuples) return false;
-  if (payload.size() != 4 + static_cast<size_t>(count) * 8) return false;
+  // the bytes actually present (8 bytes per tuple, no trailing garbage;
+  // a payload too short to hold the count fails here with count = 0).
+  if (count > kMaxBatchTuples ||
+      payload.size() != 4 + static_cast<size_t>(count) * sizeof(Tuple)) {
+    out->clear();
+    return false;
+  }
+  // No clear() first: resizing a reused vector to the size it already
+  // has constructs nothing, and the copy overwrites every element.
   out->resize(count);
-  for (Tuple& t : *out) {
-    if (!reader.GetU32(&t.key) || !reader.GetU32(&t.value)) return false;
+  if (count != 0) {
+    std::memcpy(out->data(), payload.data() + 4, count * sizeof(Tuple));
   }
   return true;
 }

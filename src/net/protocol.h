@@ -133,8 +133,15 @@ class FrameDecoder {
  public:
   void Feed(const void* data, size_t size);
 
-  /// Next complete frame, or nullopt when more bytes are needed (or the
-  /// stream is corrupt).
+  /// Refills `frame` with the next complete frame and returns true, or
+  /// returns false (leaving `frame` untouched) when more bytes are
+  /// needed or the stream is corrupt. The payload is assigned into
+  /// `frame`'s existing vector, so a caller that keeps one Frame across
+  /// calls decodes without allocating once its capacity covers the
+  /// largest frame seen.
+  bool Next(Frame* frame);
+
+  /// Next(Frame*) into a fresh Frame; nullopt when it returns false.
   std::optional<Frame> Next();
 
   bool corrupt() const { return corrupt_; }

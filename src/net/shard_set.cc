@@ -5,6 +5,7 @@
 #include <chrono>
 #include <utility>
 
+#include "src/common/atomic_util.h"
 #include "src/common/crc32c.h"
 #include "src/net/net_metrics.h"
 #include "src/obs/metrics.h"
@@ -76,6 +77,7 @@ std::optional<std::string> ShardSetOptions::Validate() const {
 
 ShardSet::ShardSet(const ShardSetOptions& options)
     : options_(options),
+      route_(options.num_shards),
       sample_permille_(std::clamp<uint32_t>(
           static_cast<uint32_t>(options.sample_rate * 1000.0 + 0.5), 1,
           1000)) {
@@ -104,6 +106,7 @@ ShardSet::ShardSet(const ShardSetOptions& options)
     shards_[i]->sketch.SetTailSampleRate(
         options.sample_rate,
         options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
+    PublishStatsLocked(*shards_[i]);  // no worker or reader yet
   }
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
@@ -164,7 +167,22 @@ uint64_t ShardSet::ApplyLocked(Shard& shard, WorkItem& item) {
   // concurrency tests' oracle bracketing).
   shard.applied_tuples.fetch_add(item.source_tuples,
                                  std::memory_order_release);
+  PublishStatsLocked(shard);
   return item.source_tuples;
+}
+
+void ShardSet::PublishStatsLocked(Shard& shard) {
+  const ASketchStats& s = shard.sketch.stats();
+  Shard::PublishedStats& p = shard.published;
+  SeqWriteSection section(shard.stats_seq);
+  ReleaseStore(p.filtered_weight, uint64_t{s.filtered_weight});
+  ReleaseStore(p.sketch_weight, uint64_t{s.sketch_weight});
+  ReleaseStore(p.exchanges, s.exchanges);
+  ReleaseStore(p.sketch_updates, s.sketch_updates);
+  ReleaseStore(p.memory_bytes,
+               static_cast<uint64_t>(shard.sketch.MemoryUsageBytes()));
+  ReleaseStore(p.applied_tuples,
+               shard.applied_tuples.load(std::memory_order_relaxed));
 }
 
 uint64_t ShardSet::Submit(Shard& shard, WorkItem item) {
@@ -217,7 +235,7 @@ uint64_t ShardSet::Ingest(std::span<const Tuple> tuples,
   ASKETCH_CHECK(state->per_shard_.size() == n);
   auto& combiners = state->per_shard_;
   for (const Tuple& t : tuples) {
-    combiners[ShardOf(t.key, n)].Add(t.key, t.value);
+    combiners[route_(t.key)].Add(t.key, t.value);
   }
   uint64_t shed = 0;
   for (uint32_t i = 0; i < n; ++i) {
@@ -275,7 +293,7 @@ uint64_t ExactHits(const FilterEntry& e) {
 }  // namespace
 
 count_t ShardSet::Estimate(item_t key) const {
-  const Shard& shard = *shards_[ShardOf(key, num_shards())];
+  const Shard& shard = *shards_[route_(key)];
   uint64_t retries = 0;
   const count_t estimate = shard.sketch.EstimateConcurrent(key, &retries);
   RecordLocklessRead(1, retries);
@@ -291,7 +309,7 @@ void ShardSet::EstimateBatch(std::span<const item_t> keys,
   // group instead of being round-robined out by the next key's shard.
   std::vector<std::vector<uint32_t>> groups(n);
   for (size_t i = 0; i < keys.size(); ++i) {
-    groups[ShardOf(keys[i], n)].push_back(static_cast<uint32_t>(i));
+    groups[route_(keys[i])].push_back(static_cast<uint32_t>(i));
   }
   uint64_t retries = 0;
   for (uint32_t s = 0; s < n; ++s) {
@@ -331,17 +349,26 @@ WireStats ShardSet::GetStats() const {
   stats.shed_weight = shed_weight_.load(std::memory_order_relaxed);
   stats.inline_applied = inline_applied_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> guard(shard->mu);
-    const ASketchStats& s = shard->sketch.stats();
+    const Shard::PublishedStats& p = shard->published;
+    Shard::PublishedStats s;
+    for (uint64_t attempt = 0;; SeqRetryBackoff(attempt++)) {
+      const uint32_t begin = shard->stats_seq.ReadBegin();
+      if ((begin & 1u) != 0) continue;
+      s.filtered_weight = AcquireLoad(p.filtered_weight);
+      s.sketch_weight = AcquireLoad(p.sketch_weight);
+      s.exchanges = AcquireLoad(p.exchanges);
+      s.sketch_updates = AcquireLoad(p.sketch_updates);
+      s.memory_bytes = AcquireLoad(p.memory_bytes);
+      s.applied_tuples = AcquireLoad(p.applied_tuples);
+      if (shard->stats_seq.ReadValidate(begin)) break;
+    }
     stats.filtered_weight += s.filtered_weight;
     stats.sketch_weight += s.sketch_weight;
     stats.exchanges += s.exchanges;
     stats.sketch_updates += s.sketch_updates;
-    stats.memory_bytes += shard->sketch.MemoryUsageBytes();
-    stats.ingested +=
-        shard->applied_tuples.load(std::memory_order_relaxed);
-    stats.per_shard_ingested.push_back(
-        shard->applied_tuples.load(std::memory_order_relaxed));
+    stats.memory_bytes += s.memory_bytes;
+    stats.ingested += s.applied_tuples;
+    stats.per_shard_ingested.push_back(s.applied_tuples);
   }
   return stats;
 }
@@ -435,6 +462,7 @@ std::optional<std::string> ShardSet::RestoreLocked(
     shards_[i]->sketch.AdoptFrom(std::move(sketches[i]));
     shards_[i]->applied_tuples.store(applied[i],
                                      std::memory_order_release);
+    PublishStatsLocked(*shards_[i]);
   }
   shed_weight_.store(shed, std::memory_order_relaxed);
   inline_applied_.store(inline_applied, std::memory_order_relaxed);

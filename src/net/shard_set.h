@@ -43,7 +43,9 @@
 // relaxed atomic sketch-cell reads, so read latency no longer collapses
 // when an ingest worker is mid-batch under the mutex. Answers remain
 // one-sided and prefix-consistent per key (DESIGN.md §5c); shard.mu
-// still serializes the writers (worker, inline-apply, restore).
+// still serializes the writers (worker, inline-apply, restore). GetStats
+// is lock-free too: it reads the counters each writer republishes
+// through a per-shard seqlock after every apply and restore.
 //
 // Persistence mirrors asketch_cli's checkpoint discipline: SaveSnapshot
 // serializes all shards into one SnapshotStore generation (payload tag
@@ -71,6 +73,7 @@
 #include "src/common/types.h"
 #include "src/core/asketch.h"
 #include "src/core/pipeline_asketch.h"
+#include "src/filter/seqlock.h"
 #include "src/net/protocol.h"
 
 namespace asketch {
@@ -95,6 +98,29 @@ inline constexpr uint32_t kShardSetPayloadType = 0x31445253u;
 inline uint32_t ShardOf(item_t key, uint32_t num_shards) {
   return (key * 2654435761u) % num_shards;
 }
+
+/// ShardOf with the modulo replaced by a reciprocal computed once per
+/// shard count (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+/// Computation", 2019): with m = floor((2^64 - 1) / n) + 1, the high
+/// 64 bits of (m·h mod 2^64)·n equal h mod n for every 32-bit h and
+/// every n >= 1 (for n = 1, m wraps to 0 and every key routes to 0).
+/// Two multiplies instead of a divide on the ingest hot path; the
+/// values are ShardOf's, which stays the normative definition.
+class ShardRouter {
+ public:
+  explicit ShardRouter(uint32_t num_shards)
+      : num_shards_(num_shards), m_(~uint64_t{0} / num_shards + 1) {}
+
+  uint32_t operator()(item_t key) const {
+    const uint64_t low = m_ * (key * 2654435761u);
+    __extension__ using u128 = unsigned __int128;
+    return static_cast<uint32_t>((u128{low} * num_shards_) >> 64);
+  }
+
+ private:
+  uint64_t num_shards_;
+  uint64_t m_;
+};
 
 /// Accepted for compatibility; both values select the one ingest path
 /// (file comment). perfbench/ still sets it.
@@ -222,7 +248,9 @@ class ShardSet {
   uint64_t AppliedTuples(uint32_t shard) const;
 
   /// Aggregate counters across shards (snapshot_generation left 0; the
-  /// server fills it in from its SnapshotStore).
+  /// server fills it in from its SnapshotStore). Lock-free: each shard
+  /// contributes the figures its writer last published, read as one
+  /// consistent snapshot per shard, so STATS never blocks on shard.mu.
   WireStats GetStats() const;
 
   /// Drains, then serializes every shard into one payload. The digest is
@@ -275,6 +303,20 @@ class ShardSet {
     /// Tuples applied (worker + inline). Written under mu, bumped only
     /// at work-item boundaries; read without mu by AppliedTuples.
     std::atomic<uint64_t> applied_tuples{0};
+    /// The shard's STATS figures as of its last apply or restore,
+    /// republished under mu by PublishStatsLocked and read without mu
+    /// through `stats_seq` (single-writer seqlock), so STATS never
+    /// waits behind an owner's apply.
+    struct PublishedStats {
+      uint64_t filtered_weight = 0;
+      uint64_t sketch_weight = 0;
+      uint64_t exchanges = 0;
+      uint64_t sketch_updates = 0;
+      uint64_t memory_bytes = 0;
+      uint64_t applied_tuples = 0;
+    };
+    SeqCounter stats_seq;
+    PublishedStats published;
 
     std::mutex queue_mu;
     std::condition_variable cv_push;  ///< signalled when space frees up
@@ -288,9 +330,13 @@ class ShardSet {
   };
 
   void WorkerLoop(Shard& shard);
-  /// Applies one work item under shard.mu (caller holds it) and bumps
-  /// applied_tuples at the boundary; returns the tuple count applied.
+  /// Applies one work item under shard.mu (caller holds it), bumps
+  /// applied_tuples at the boundary and republishes the shard's stats;
+  /// returns the tuple count applied.
   uint64_t ApplyLocked(Shard& shard, WorkItem& item);
+  /// Copies `shard`'s stats into shard.published inside a stats_seq
+  /// write section; caller holds shard.mu (the single writer).
+  static void PublishStatsLocked(Shard& shard);
   /// Bounded-wait enqueue of `item`, degrading per the overload policy
   /// when the wait expires. Returns the weight shed (0 unless kShed).
   uint64_t Submit(Shard& shard, WorkItem item);
@@ -309,6 +355,7 @@ class ShardSet {
       std::span<const uint8_t> payload);
 
   ShardSetOptions options_;
+  const ShardRouter route_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> stalled_{false};

@@ -6,6 +6,7 @@
 
 #include "src/net/protocol.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -145,6 +146,142 @@ TEST(FrameDecoderTest, GarbageFuzz) {
   }
 }
 
+std::vector<Tuple> RandomTuples(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<Tuple> tuples(n);
+  for (Tuple& t : tuples) {
+    t.key = static_cast<item_t>(rng());
+    t.value = static_cast<count_t>(rng());
+  }
+  return tuples;
+}
+
+// An UPDATE frame split at every byte offset into two feeds decodes to
+// the same frame and the same tuples as the frame fed whole: the
+// reused-buffer decode never delivers a frame early or mis-slices one
+// that straddles two receives.
+TEST(FrameDecoderTest, UpdateSplitAtEveryOffsetDecodesIdentically) {
+  const std::vector<Tuple> tuples = RandomTuples(97, 11);
+  const auto bytes = EncodeUpdateRequest(tuples, true);
+  const Frame whole = DecodeOne(bytes);
+  FrameDecoder decoder;
+  Frame frame;
+  std::vector<Tuple> parsed;
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    decoder.Feed(bytes.data(), split);
+    if (split < bytes.size()) {
+      ASSERT_FALSE(decoder.Next(&frame)) << "split " << split;
+      decoder.Feed(bytes.data() + split, bytes.size() - split);
+    }
+    ASSERT_TRUE(decoder.Next(&frame)) << "split " << split;
+    EXPECT_EQ(frame.opcode, whole.opcode);
+    EXPECT_EQ(frame.flags, whole.flags);
+    EXPECT_EQ(frame.status, whole.status);
+    EXPECT_EQ(frame.payload, whole.payload) << "split " << split;
+    ASSERT_TRUE(ParseUpdateRequest(frame.payload, &parsed));
+    EXPECT_EQ(parsed, tuples);
+    EXPECT_FALSE(decoder.Next(&frame));
+    EXPECT_EQ(decoder.buffered(), 0u);
+  }
+  EXPECT_FALSE(decoder.corrupt());
+}
+
+// One Frame and one tuple vector reused across back-to-back frames that
+// go long, short, empty, long: each decode carries exactly its own
+// payload, with no bytes left over from a longer predecessor.
+TEST(FrameDecoderTest, ReusedFrameCarriesNoStalePayload) {
+  const std::vector<Tuple> first = RandomTuples(1000, 1);
+  const std::vector<Tuple> short_batch = RandomTuples(3, 2);
+  const std::vector<Tuple> last = RandomTuples(700, 3);
+  std::vector<uint8_t> stream;
+  for (const auto& bytes :
+       {EncodeUpdateRequest(first, false), EncodeQueryRequest(0x01020304),
+        EncodeUpdateRequest(short_batch, false), EncodeStatsRequest(),
+        EncodeUpdateRequest(last, true)}) {
+    stream.insert(stream.end(), bytes.begin(), bytes.end());
+  }
+  FrameDecoder decoder;
+  decoder.Feed(stream.data(), stream.size());
+  Frame frame;
+  std::vector<Tuple> parsed;
+
+  ASSERT_TRUE(decoder.Next(&frame));
+  ASSERT_TRUE(ParseUpdateRequest(frame.payload, &parsed));
+  EXPECT_EQ(parsed, first);
+
+  ASSERT_TRUE(decoder.Next(&frame));
+  EXPECT_EQ(frame.opcode, Opcode::kQuery);
+  EXPECT_EQ(frame.payload, (std::vector<uint8_t>{4, 3, 2, 1}));
+  item_t key = 0;
+  EXPECT_TRUE(ParseQueryRequest(frame.payload, &key));
+  EXPECT_EQ(key, 0x01020304u);
+
+  ASSERT_TRUE(decoder.Next(&frame));
+  EXPECT_FALSE(frame.want_ack());
+  ASSERT_TRUE(ParseUpdateRequest(frame.payload, &parsed));
+  EXPECT_EQ(parsed, short_batch);
+
+  ASSERT_TRUE(decoder.Next(&frame));
+  EXPECT_EQ(frame.opcode, Opcode::kStats);
+  EXPECT_TRUE(frame.payload.empty());
+
+  ASSERT_TRUE(decoder.Next(&frame));
+  EXPECT_TRUE(frame.want_ack());
+  ASSERT_TRUE(ParseUpdateRequest(frame.payload, &parsed));
+  EXPECT_EQ(parsed, last);
+
+  EXPECT_FALSE(decoder.Next(&frame));
+  EXPECT_EQ(decoder.buffered(), 0u);
+  // A rejected payload leaves the reused vector empty, not stale.
+  EXPECT_FALSE(ParseUpdateRequest(std::span<const uint8_t>(), &parsed));
+  EXPECT_TRUE(parsed.empty());
+}
+
+// Next() and Next(Frame*) agree frame for frame — on well-formed
+// streams and on seeded garbage, including when and whether the stream
+// poisons.
+TEST(FrameDecoderTest, OptionalAndOutParamFormsAgree) {
+  std::mt19937 rng(20261019);
+  std::uniform_int_distribution<int> len_dist(1, 300);
+  for (int round = 0; round < 100; ++round) {
+    std::vector<uint8_t> stream;
+    if (round % 2 == 0) {
+      for (int i = 0; i < 4; ++i) {
+        const auto bytes = EncodeUpdateRequest(
+            RandomTuples(static_cast<size_t>(len_dist(rng)),
+                         static_cast<uint32_t>(rng())),
+            (i & 1) != 0);
+        stream.insert(stream.end(), bytes.begin(), bytes.end());
+      }
+    } else {
+      stream.resize(static_cast<size_t>(len_dist(rng)) * 4);
+      for (auto& b : stream) b = static_cast<uint8_t>(rng());
+    }
+    FrameDecoder a;
+    FrameDecoder b;
+    Frame reused;
+    for (size_t at = 0; at < stream.size();) {
+      const size_t n = std::min(stream.size() - at,
+                                static_cast<size_t>(len_dist(rng)));
+      a.Feed(stream.data() + at, n);
+      b.Feed(stream.data() + at, n);
+      at += n;
+      for (;;) {
+        const auto fresh = a.Next();
+        const bool got = b.Next(&reused);
+        ASSERT_EQ(fresh.has_value(), got);
+        if (!got) break;
+        EXPECT_EQ(fresh->opcode, reused.opcode);
+        EXPECT_EQ(fresh->flags, reused.flags);
+        EXPECT_EQ(fresh->status, reused.status);
+        EXPECT_EQ(fresh->payload, reused.payload);
+      }
+      ASSERT_EQ(a.corrupt(), b.corrupt());
+      ASSERT_EQ(a.buffered(), b.buffered());
+    }
+  }
+}
+
 TEST(TypedPayloads, HelloRoundTrip) {
   const Frame frame = DecodeOne(EncodeHelloRequest(HelloRequest{}));
   HelloRequest hello{0, 0, 0};
@@ -202,6 +339,37 @@ TEST(TypedPayloads, UpdateRejectsCountBeyondCap) {
   writer.PutU32(kMaxBatchTuples + 1);
   std::vector<Tuple> parsed;
   EXPECT_FALSE(ParseUpdateRequest(writer.buffer(), &parsed));
+}
+
+// The UPDATE wire bytes are pinned by hand: little-endian length,
+// opcode, flags, status, count, then key/value pairs, including the
+// extreme values 0 and 0xFFFFFFFF.
+TEST(TypedPayloads, UpdateEncodesLittleEndianWireBytes) {
+  const std::vector<Tuple> tuples{
+      {0, 0}, {0xFFFFFFFFu, 0xFFFFFFFFu}, {0x01020304u, 0xA0B0C0D0u},
+      {0, 0xFFFFFFFFu}, {0xFFFFFFFFu, 0}};
+  const std::vector<uint8_t> expected{
+      0x30, 0x00, 0x00, 0x00,  // length: 4 header + 4 count + 5 * 8
+      0x02,                    // opcode kUpdate
+      0x06,                    // flags: want-ack | replayed
+      0x00, 0x00,              // status kOk
+      0x05, 0x00, 0x00, 0x00,  // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+      0x04, 0x03, 0x02, 0x01, 0xD0, 0xC0, 0xB0, 0xA0,
+      0x00, 0x00, 0x00, 0x00, 0xFF, 0xFF, 0xFF, 0xFF,
+      0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00,
+  };
+  EXPECT_EQ(EncodeUpdateRequest(tuples, /*want_ack=*/true, /*replay=*/true),
+            expected);
+  const std::vector<uint8_t> empty{0x08, 0x00, 0x00, 0x00, 0x02, 0x00,
+                                   0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(EncodeUpdateRequest({}, false), empty);
+  std::vector<Tuple> parsed;
+  ASSERT_TRUE(ParseUpdateRequest(
+      std::span<const uint8_t>(expected).subspan(kFrameHeaderBytes),
+      &parsed));
+  EXPECT_EQ(parsed, tuples);
 }
 
 TEST(TypedPayloads, QueryBatchRejectsCountBeyondCap) {

@@ -245,6 +245,52 @@ TEST(NetReadConcurrencyTest, EstimateBatchBracketedByOracleDuringIngest) {
   }
 }
 
+// STATS reads each shard's published figures through a seqlock while
+// the owners apply. Every answer must be one shard state, not a torn
+// mix: per shard, the applied count sits on a work-item boundary and
+// never goes backwards, and (unit weights) N1 + N2 equals it exactly.
+TEST(NetReadConcurrencyTest, StatsConsistentAndMonotonicDuringIngest) {
+  const ShardSetOptions options = SmallShards();
+  constexpr uint32_t kBatches = 256;
+  constexpr uint32_t kBatchSize = 128;
+  const OracleStream oracle =
+      BuildOracle(options, kBatches, kBatchSize, /*universe=*/512,
+                  /*num_probes=*/1);
+  ShardSet set(options);
+  const uint32_t n = options.num_shards;
+
+  std::atomic<bool> done{false};
+  auto reader = [&] {
+    std::vector<uint64_t> last(n, 0);
+    while (!done.load(std::memory_order_acquire)) {
+      const WireStats stats = set.GetStats();
+      ASSERT_EQ(stats.per_shard_ingested.size(), n);
+      uint64_t ingested = 0;
+      for (uint32_t s = 0; s < n; ++s) {
+        const uint64_t applied = stats.per_shard_ingested[s];
+        const auto& cumulative = oracle.cumulative[s];
+        EXPECT_EQ(cumulative[BoundaryAt(cumulative, applied)], applied);
+        EXPECT_GE(applied, last[s]);
+        last[s] = applied;
+        ingested += applied;
+      }
+      EXPECT_EQ(stats.ingested, ingested);
+      EXPECT_EQ(stats.filtered_weight + stats.sketch_weight, ingested);
+    }
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
+  for (const auto& batch : oracle.batches) set.Ingest(batch);
+  set.Drain();
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+
+  const WireStats stats = set.GetStats();
+  EXPECT_EQ(stats.ingested, uint64_t{kBatches} * kBatchSize);
+  EXPECT_EQ(stats.filtered_weight + stats.sketch_weight, stats.ingested);
+}
+
 TEST(NetReadConcurrencyTest, TopKStaysWellFormedDuringIngest) {
   const ShardSetOptions options = SmallShards();
   constexpr uint32_t kBatches = 128;

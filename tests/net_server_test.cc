@@ -7,7 +7,12 @@
 
 #include "src/net/server.h"
 
+#include <condition_variable>
+#include <cstdio>
 #include <filesystem>
+#include <future>
+#include <mutex>
+#include <random>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -497,6 +502,106 @@ TEST(ShardSetTest, ShardRoutingIsDisjointAndTotal) {
   }
   const WireStats stats = shards.GetStats();
   EXPECT_EQ(stats.ingested, tuples.size());
+}
+
+// The precomputed-reciprocal router returns ShardOf's shard for every
+// shard count tried — all of 1..4096 plus large and extreme counts —
+// over random keys and keys whose hash lands on the edges of a residue
+// class (0, n - 1, n, the top of the 32-bit range).
+TEST(ShardSetTest, ShardRouterMatchesShardOf) {
+  // Inverse of the Knuth constant mod 2^32 (Newton's iteration), so a
+  // chosen hash value can be turned back into the key that yields it.
+  uint32_t inverse = 2654435761u;
+  for (int i = 0; i < 5; ++i) inverse *= 2u - 2654435761u * inverse;
+  ASSERT_EQ(inverse * 2654435761u, 1u);
+  const auto key_for_hash = [&](uint32_t h) -> item_t { return h * inverse; };
+
+  std::mt19937 rng(1729);
+  std::vector<uint32_t> counts;
+  for (uint32_t n = 1; n <= 4096; ++n) counts.push_back(n);
+  for (const uint32_t n : {65536u, 65537u, 1000003u, 0x7FFFFFFFu,
+                           0x80000000u, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
+    counts.push_back(n);
+  }
+  for (const uint32_t n : counts) {
+    const ShardRouter route(n);
+    std::vector<item_t> keys{0, 1, 2, 0x7FFFFFFFu, 0x80000000u,
+                             0xFFFFFFFEu, 0xFFFFFFFFu};
+    const uint32_t top = 0xFFFFFFFFu / n * n;  // last multiple of n
+    for (const uint32_t h : {0u, 1u, n - 1, n, n + 1, 2 * n - 1, top - 1,
+                             top, top + (n - 1), 0xFFFFFFFFu}) {
+      keys.push_back(key_for_hash(h));
+    }
+    for (int i = 0; i < 256; ++i) keys.push_back(static_cast<item_t>(rng()));
+    for (const item_t key : keys) {
+      ASSERT_EQ(route(key), ShardOf(key, n))
+          << "n = " << n << ", key = " << key;
+    }
+  }
+}
+
+// STATS is answered from each shard's published figures, never under
+// shard.mu: while SaveSnapshot holds every shard lock (parked here in
+// the snapshot file write), GetStats on another thread still returns
+// promptly, with the counts applied before the snapshot began.
+TEST(ShardSetTest, StatsDoNotWaitOnShardLocks) {
+  const fs::path dir =
+      fs::path(testing::TempDir()) / "asketchd_stats_lock_free";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  ShardSetOptions options;
+  options.num_shards = 2;
+  options.shard_config.total_bytes = 32 * 1024;
+  ShardSet shards(options);
+  const auto tuples = TestStream(20'000);
+  shards.Ingest(tuples);
+  shards.Drain();
+  const WireStats before = shards.GetStats();
+  ASSERT_EQ(before.ingested, tuples.size());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool writing = false;
+  bool release = false;
+  SnapshotIoHooks hooks;
+  hooks.write = [&](const void* data, size_t size, std::FILE* file) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      writing = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+    return std::fwrite(data, 1, size, file);
+  };
+  SnapshotStore store((dir / "ckpt").string(), 1, hooks);
+  std::thread saver([&] {
+    StateDigest digest;
+    EXPECT_EQ(shards.SaveSnapshot(store, &digest), std::nullopt);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return writing; });
+  }
+  // SaveSnapshot now holds every shard.mu until the latch opens.
+  auto during = std::async(std::launch::async, [&] { return shards.GetStats(); });
+  const bool answered =
+      during.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  {
+    // Open the latch either way, so a blocking GetStats fails the test
+    // instead of hanging it.
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+  saver.join();
+  EXPECT_TRUE(answered) << "GetStats waited on the shard locks";
+  const WireStats stats = during.get();
+  EXPECT_EQ(stats.ingested, before.ingested);
+  EXPECT_EQ(stats.per_shard_ingested, before.per_shard_ingested);
+  EXPECT_EQ(stats.filtered_weight, before.filtered_weight);
+  EXPECT_EQ(stats.sketch_weight, before.sketch_weight);
+  EXPECT_EQ(stats.memory_bytes, before.memory_bytes);
+  fs::remove_all(dir);
 }
 
 // Builds a serialized ShardSet payload ("SRD1") whose shard owning
