@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "src/common/check.h"
-#include "src/common/sampling.h"
 #include "src/core/delta_batch.h"
 #include "src/obs/core_metrics.h"
 #include "src/obs/trace.h"
@@ -80,10 +79,6 @@ struct ASketchStats {
   uint64_t exchange_writebacks = 0;
   /// Number of sketch insertions, including exchange writebacks.
   uint64_t sketch_updates = 0;
-  /// Tail updates elided by geometric sampling (ALGORITHMS.md §8); their
-  /// weight still counts in sketch_weight — the scaled survivors carry
-  /// it in expectation. Not serialized (the "ASK1" layout predates it).
-  uint64_t sampled_skips = 0;
 
   /// N2 / N, the fraction of stream weight the sketch had to process.
   double FilterSelectivity() const {
@@ -109,18 +104,6 @@ class ASketch {
       : filter_(std::move(filter)),
         sketch_(std::move(sketch)),
         enable_exchanges_(enable_exchanges) {}
-
-  /// Enables NitroSketch-style sampling of the tail: each sketch insert
-  /// in MissPositive is applied with probability `rate` and scaled by
-  /// 1/rate (stochastically rounded), elided otherwise. Tail estimates
-  /// become unbiased but lose the one-sided bound; filter hits and
-  /// free-slot inserts stay bit-exact (ALGORITHMS.md §8). The rate is
-  /// quantized to permille; 1.0 is bit-identical to unsampled. Owner
-  /// thread only: call before ingest starts.
-  void SetTailSampleRate(double rate, uint64_t seed) {
-    tail_sampler_ = GeometricSampler(seed);
-    tail_sampler_.SetPermille(static_cast<uint32_t>(rate * 1000.0 + 0.5));
-  }
 
   /// Algorithm 1 (positive deltas) / Appendix A (negative deltas).
   void Update(item_t key, delta_t delta = 1) {
@@ -362,9 +345,6 @@ class ASketch {
       }
       if (pending_.deletions != 0) {
         metrics.deletions.Add(pending_.deletions);
-      }
-      if (pending_.sampled_skips != 0) {
-        metrics.sampled_skips.Add(pending_.sampled_skips);
       }
       pending_ = PendingTelemetry{};
     })
@@ -682,26 +662,6 @@ class ASketch {
           pending_.filtered_weight += static_cast<uint64_t>(delta);)
       return true;
     }
-    // Sampled tail path (ALGORITHMS.md §8): elide this sketch insert
-    // with probability 1-p, or apply it scaled by 1/p. Either way the
-    // TRUE weight is booked into sketch_weight — the stream-split stats
-    // describe the stream, not the sampler. Skips cost one countdown
-    // decrement and never touch a sketch cell; no exchange can trigger
-    // on a skipped tuple. Exchange writebacks (WriteBackVictim) bypass
-    // this entirely — a victim's exact slack is never sampled away.
-    delta_t applied = delta;
-    if (tail_sampler_.active()) {
-      if (!tail_sampler_.ShouldApply()) {
-        stats_.sketch_weight += static_cast<wide_count_t>(delta);
-        ++stats_.sampled_skips;
-        ASKETCH_TELEMETRY_ONLY({
-          pending_.sketch_weight += static_cast<uint64_t>(delta);
-          ++pending_.sampled_skips;
-        })
-        return false;
-      }
-      applied = tail_sampler_.ScaleDelta(delta);
-    }
     // Lines 7-9: forward to the sketch and read back the new estimate.
     // Backends exposing the fused UpdateAndEstimate hash only once here;
     // others fall back to Update + Estimate.
@@ -710,14 +670,14 @@ class ASketch {
                     s.UpdateAndEstimateAt(prepared, delta, stride);
                   }) {
       if (prepared != nullptr) {
-        estimate = sketch_.UpdateAndEstimateAt(prepared, applied, stride);
+        estimate = sketch_.UpdateAndEstimateAt(prepared, delta, stride);
       } else {
-        estimate = UpdateAndEstimateUnprepared(key, applied);
+        estimate = UpdateAndEstimateUnprepared(key, delta);
       }
     } else {
       (void)prepared;
       (void)stride;
-      estimate = UpdateAndEstimateUnprepared(key, applied);
+      estimate = UpdateAndEstimateUnprepared(key, delta);
     }
     ++stats_.sketch_updates;
     stats_.sketch_weight += static_cast<wide_count_t>(delta);
@@ -883,7 +843,6 @@ class ASketch {
     uint64_t exchanges = 0;
     uint64_t exchange_writebacks = 0;
     uint64_t deletions = 0;
-    uint64_t sampled_skips = 0;
     uint64_t since_flush = 0;  ///< scalar Updates since the last flush
   };
 
@@ -891,9 +850,6 @@ class ASketch {
   SketchT sketch_;
   bool enable_exchanges_ = true;
   ASketchStats stats_;
-  /// Owner-thread tail sampler (inactive by default). Runtime ingest
-  /// policy, not synopsis state: never serialized or adopted.
-  GeometricSampler tail_sampler_;
   ASKETCH_TELEMETRY_ONLY(PendingTelemetry pending_;)
 };
 

@@ -61,7 +61,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/sampling.h"
 #include "src/common/types.h"
 #include "src/sketch/frequency_estimator.h"
 #include "src/sketch/misra_gries.h"
@@ -136,18 +135,6 @@ class DeltaBatch {
       return;
     }
     tail_weight_ += weight;
-    if (tail_sampler_.active()) {
-      if (!tail_sampler_.ShouldApply()) {
-        ++sampled_skips_;
-        return;
-      }
-      // Scale by 1/p (stochastically rounded) so the tail sketch stays
-      // unbiased; clamp at the Tuple weight ceiling — the sketch's own
-      // saturating adds would cap there anyway.
-      weight = static_cast<count_t>(std::min<delta_t>(
-          tail_sampler_.ScaleDelta(static_cast<delta_t>(weight)),
-          static_cast<delta_t>(~count_t{0})));
-    }
     misses_.push_back(Tuple{key, weight});
     if (misses_.size() >= kMissFlushBatch) FlushMisses();
   }
@@ -215,21 +202,6 @@ class DeltaBatch {
   static constexpr uint32_t kClaimLoadNum = 5;
   static constexpr uint32_t kClaimLoadDen = 8;
 
-  /// Enables NitroSketch-style sampling of the *tail* path: each miss
-  /// is applied with probability `rate` and scaled by 1/rate, elided
-  /// otherwise. Head aggregation stays exact and tail_weight() keeps
-  /// the true (unscaled) mass, so ApplyDelta's inflation and weight
-  /// accounting are unaffected; only the tail sketch contents become
-  /// unbiased-but-not-one-sided (ALGORITHMS.md §8). Rate is quantized
-  /// to permille; 1.0 leaves the path bit-identical to unsampled.
-  void SetTailSampleRate(double rate, uint64_t seed) {
-    tail_sampler_ = GeometricSampler(seed);
-    tail_sampler_.SetPermille(static_cast<uint32_t>(rate * 1000.0 + 0.5));
-  }
-  /// Tail tuples elided by sampling (their mass still counts in
-  /// tail_weight(), scaled compensation covers it in expectation).
-  uint64_t sampled_skips() const { return sampled_skips_; }
-
   bool Empty() const { return tuple_count_ == 0; }
   uint64_t tuple_count() const { return tuple_count_; }
   uint64_t head_weight() const { return head_weight_; }
@@ -269,8 +241,6 @@ class DeltaBatch {
   uint64_t head_weight_ = 0;
   uint64_t tail_weight_ = 0;
   uint64_t tail_updates_ = 0;
-  GeometricSampler tail_sampler_;  ///< inactive (rate 1.0) by default
-  uint64_t sampled_skips_ = 0;
 };
 
 }  // namespace asketch

@@ -295,8 +295,9 @@ bool Server::HandleFrame(int fd, const Frame& frame, bool& hello_done,
 
     case Opcode::kUpdate: {
       // Decode into the connection's scratch vector: ParseUpdateRequest
-      // clears and refills it, so capacity persists across frames and
-      // steady-state ingest does no per-frame allocation.
+      // resizes it without clearing, so its capacity persists across
+      // frames and a same-size refill constructs nothing; steady-state
+      // ingest does no per-frame allocation.
       if (!ParseUpdateRequest(frame.payload, &update_scratch)) {
         return fail(NetStatus::kBadFrame, "malformed UPDATE");
       }

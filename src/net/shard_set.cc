@@ -69,18 +69,12 @@ std::optional<std::string> ShardSetOptions::Validate() const {
   if (max_queue_batches < 1) {
     return std::string("max_queue_batches must be >= 1");
   }
-  if (!(sample_rate > 0.0) || sample_rate > 1.0) {
-    return std::string("sample_rate must be in (0, 1]");
-  }
   return shard_config.Validate();
 }
 
 ShardSet::ShardSet(const ShardSetOptions& options)
     : options_(options),
-      route_(options.num_shards),
-      sample_permille_(std::clamp<uint32_t>(
-          static_cast<uint32_t>(options.sample_rate * 1000.0 + 0.5), 1,
-          1000)) {
+      route_(options.num_shards) {
   ASKETCH_CHECK(!options.Validate().has_value());
   shards_.reserve(options.num_shards);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -88,6 +82,7 @@ ShardSet::ShardSet(const ShardSetOptions& options)
     shards_.push_back(std::make_unique<Shard>(
         MakeASketchCountMin<RelaxedHeapFilter>(options.shard_config)));
     Shard* shard = shards_.back().get();
+    PublishStatsLocked(*shard);  // no worker or reader yet
     gauge_ids_.push_back(registry.RegisterCallbackGauge(
         "asketch_net_shard_queue_depth",
         "shard=\"" + std::to_string(i) + "\"", [shard]() -> double {
@@ -98,16 +93,6 @@ ShardSet::ShardSet(const ShardSetOptions& options)
   // The placeholder series keeps the family present before/after any
   // ShardSet instance is alive (same trick as the pipeline gauge).
   NetMetrics::Get();
-  // Tail sampling runs at one rate, fixed here, in the shard owners;
-  // each is seeded before the workers start so sampled runs are
-  // reproducible for a fixed config seed.
-  NetMetrics::Get().sample_rate_permille.Set(sample_permille_);
-  for (uint32_t i = 0; i < options.num_shards; ++i) {
-    shards_[i]->sketch.SetTailSampleRate(
-        options.sample_rate,
-        options.shard_config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
-    PublishStatsLocked(*shards_[i]);  // no worker or reader yet
-  }
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(*s); });
   }

@@ -28,10 +28,6 @@
 // regardless, and under a stable head with plain Count-Min every
 // estimate equals serial UpdateBatch (ALGORITHMS.md §7).
 //
-// Tail sampling runs at a rate fixed at construction
-// (ShardSetOptions::sample_rate, ALGORITHMS.md §8) in the shard owners'
-// miss path; the filter head stays exact.
-//
 // Queries read the *applied* state: tuples still queued are not yet
 // visible. SNAPSHOT and DIGEST therefore drain all queues first, making
 // them barriers. Nothing outlives an Ingest call, so every tuple whose
@@ -179,15 +175,6 @@ struct ShardSetOptions {
   /// Read by nothing in the server; perfbench/ takes its default as
   /// the epoch length of its in-process DeltaBatch layer.
   uint32_t delta_flush_tuples = 32768;
-  /// Tail sampling rate (NitroSketch-style, ALGORITHMS.md §8): each
-  /// tail-sketch update is applied with this probability and scaled by
-  /// its inverse. Filter hits are never sampled. 1.0 (the default) is
-  /// bit-identical to unsampled ingest; below 1.0 tail estimates are
-  /// unbiased but no longer one-sided. In (0, 1], fixed for the set's
-  /// lifetime and exported as asketch_net_sample_rate_permille. The
-  /// shard owners sample in MissPositive; skips count into
-  /// asketch_sampled_skips_total.
-  double sample_rate = 1.0;
 
   std::optional<std::string> Validate() const;
 };
@@ -361,8 +348,6 @@ class ShardSet {
   std::atomic<bool> stalled_{false};
   std::atomic<uint64_t> shed_weight_{0};
   std::atomic<uint64_t> inline_applied_{0};
-  /// Tail sampling rate in permille (1000 = off).
-  const uint32_t sample_permille_;
   std::vector<uint64_t> gauge_ids_;
 };
 

@@ -32,7 +32,6 @@ struct IngestMetrics {
   Counter& exchange_writebacks;  ///< evictions with nonzero exact delta
   Counter& sketch_updates;       ///< sketch insertions incl. writebacks
   Counter& deletions;            ///< negative-delta updates
-  Counter& sampled_skips;        ///< tail updates elided by sampling
   Histogram& update_batch_ns;    ///< wall time of one UpdateBatch call
 
   static IngestMetrics& Get() {
@@ -45,7 +44,6 @@ struct IngestMetrics {
           r.GetCounter("asketch_exchange_writebacks_total"),
           r.GetCounter("asketch_sketch_updates_total"),
           r.GetCounter("asketch_deletions_total"),
-          r.GetCounter("asketch_sampled_skips_total"),
           r.GetHistogram("asketch_update_batch_ns")};
       // N2 / (N1 + N2), the paper's filter selectivity, always current.
       r.RegisterCallbackGauge(

@@ -1,5 +1,6 @@
 // ShardSet's one ingest path (src/net/shard_set.{h,cc}): per-call key
 // combining against a serial UpdateBatch oracle under a stable head,
+// exact head keys and conserved weight at default options,
 // drain-barrier visibility, the overload paths, snapshot round-trips,
 // the combiner's edge cases (saturating aggregates, zero weights, more
 // distinct keys than the claim cap), and — under TSan — concurrent
@@ -284,6 +285,45 @@ TEST(NetIngestTest, StatsIngestedEqualsTuplesSent) {
   // 100 distinct keys per call, four calls: combining leaves each owner
   // at most one sketch update per key and call.
   EXPECT_LE(stats.sketch_updates, 4u * 100u);
+}
+
+// At default options every head key answers its exact count and the
+// N1/N2 ledgers book exactly the weight sent: the warm-up keys fill each
+// shard's filter for good, then take every third payload tuple at
+// weight 2 between zipf tail tuples.
+TEST(NetIngestTest, HeadKeysExactAndWeightConservedAtDefaultOptions) {
+  const std::vector<Tuple> warmup = WarmupTuples();
+  const item_t head_keys = static_cast<item_t>(warmup.size());
+  std::vector<Tuple> payload = PayloadTuples(71);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    if (i % 3 == 0) {
+      payload[i] = Tuple{static_cast<item_t>(i % head_keys), 2};
+    } else {
+      payload[i].key += head_keys;
+    }
+  }
+  ExactCounter truth(kDomain + head_keys);
+  uint64_t weight_sent = 0;
+  for (const std::vector<Tuple>& part : {warmup, payload}) {
+    for (const Tuple& t : part) {
+      truth.Update(t.key, static_cast<delta_t>(t.value));
+      weight_sent += t.value;
+    }
+  }
+
+  ShardSet shards(BaseOptions());
+  shards.Ingest(warmup);
+  shards.Drain();
+  IngestSliced(shards, payload, 1000);
+  shards.Drain();
+
+  const WireStats stats = shards.GetStats();
+  EXPECT_EQ(stats.filtered_weight + stats.sketch_weight, weight_sent);
+  for (item_t key = 0; key < head_keys; ++key) {
+    EXPECT_EQ(static_cast<wide_count_t>(shards.Estimate(key)),
+              truth.Count(key))
+        << "head key " << key;
+  }
 }
 
 // The TSan target: decode threads combine through private states while

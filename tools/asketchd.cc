@@ -5,7 +5,6 @@
 //            [--recover] [--checkpoint-interval-ms MS]
 //            [--metrics-port MP] [--ingest-mode queue|delta]
 //            [--queue-batches Q] [--overload inline|shed]
-//            [--sample-rate R]
 //            [--max-connections C] [--idle-timeout-ms MS]
 //
 // Binds 127.0.0.1:P (0 = ephemeral) and announces the bound port on
@@ -59,7 +58,7 @@ int Usage() {
       "                [--filter F] [--seed S]\n"
       "                [--max-connections C] [--idle-timeout-ms MS]\n"
       "                [--ingest-mode queue|delta] [--queue-batches Q]\n"
-      "                [--overload inline|shed] [--sample-rate R]\n"
+      "                [--overload inline|shed]\n"
       "                [--prefix PFX] [--retain R] [--recover]\n"
       "                [--checkpoint-interval-ms MS] [--metrics-port MP]\n"
       "\n"
@@ -83,10 +82,6 @@ int Usage() {
       "  --queue-batches Q   bounded per-shard queue length (default "
       "64)\n"
       "  --overload POLICY   inline (default) or shed\n"
-      "  --sample-rate R     tail-update sampling rate in (0, 1]\n"
-      "                      (default 1.0 = every update; below 1.0 the\n"
-      "                      sketch tail becomes unbiased, not one-sided;\n"
-      "                      the filter head stays exact)\n"
       "\n"
       "persistence:\n"
       "  --prefix PFX        snapshot store prefix (default: persistence "
@@ -144,7 +139,7 @@ int main(int argc, char** argv) {
       if (!ParseU64(value(), &n) || n < 1 || n > 64) return Usage();
       options.shards.shard_config.width = static_cast<uint32_t>(n);
     } else if (arg == "--filter") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.shards.shard_config.filter_items = static_cast<uint32_t>(n);
     } else if (arg == "--seed") {
       if (!ParseU64(value(), &n)) return Usage();
@@ -154,10 +149,10 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.snapshot_prefix = v;
     } else if (arg == "--retain") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.snapshot_retain = static_cast<uint32_t>(n);
     } else if (arg == "--checkpoint-interval-ms") {
-      if (!ParseU64(value(), &n)) return Usage();
+      if (!ParseU64(value(), &n) || n > UINT32_MAX) return Usage();
       options.checkpoint_interval_ms = static_cast<uint32_t>(n);
     } else if (arg == "--metrics-port") {
       if (!ParseU64(value(), &metrics_port) || metrics_port > 65535) {
@@ -175,14 +170,6 @@ int main(int argc, char** argv) {
           (std::strcmp(v, "queue") != 0 && std::strcmp(v, "delta") != 0)) {
         return Usage();
       }
-    } else if (arg == "--sample-rate") {
-      const char* v = value();
-      if (v == nullptr || *v == '\0') return Usage();
-      errno = 0;
-      char* end = nullptr;
-      const double rate = std::strtod(v, &end);
-      if (errno != 0 || end == nullptr || *end != '\0') return Usage();
-      options.shards.sample_rate = rate;  // range-checked by Validate()
     } else if (arg == "--overload") {
       const char* v = value();
       if (v == nullptr) return Usage();
@@ -194,7 +181,7 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--max-connections") {
-      if (!ParseU64(value(), &n) || n < 1) return Usage();
+      if (!ParseU64(value(), &n) || n < 1 || n > UINT32_MAX) return Usage();
       options.max_connections = static_cast<uint32_t>(n);
     } else if (arg == "--idle-timeout-ms") {
       if (!ParseU64(value(), &n) || n > UINT32_MAX) return Usage();
